@@ -15,10 +15,8 @@ import time
 import numpy as np
 
 from sparsemotion import _kernels
-from sparsemotion.camera import CameraModel, assemble_system
 from sparsemotion.experiments import sample_pose
 from sparsemotion.kinematics import default_skeleton
-from sparsemotion.solvers import _affine_projection_data, eliminate_rigid
 
 
 def timeit(fn, args, repeats):
@@ -35,7 +33,6 @@ def main():
     args = parser.parse_args()
 
     skel = default_skeleton()
-    cam = CameraModel(focal=1145.0)
     rng = np.random.default_rng(0)
     pose = sample_pose(skel, rng)
     Rc = pose.camera_to_root.rotation
@@ -45,20 +42,12 @@ def main():
                              pose.theta)
     pts = _kernels.landmark_points(R, t, skel.lmk_joint, skel.lmk_local)
 
-    sys_m = assemble_system(skel, pose, cam)
-    omega = np.zeros(40)
-    omega[[5, 17, 30]] = [2e-3, -1e-3, 3e-3]
-    y = sys_m.B @ omega
-    Bt, yt, _ = eliminate_rigid(sys_m.A, sys_m.B, y)
-    Vr, x0 = _affine_projection_data(Bt, yt)
-
     cases = {
         "rotation_about_axis": (np.array([0.0, 0.0, 1.0]), 0.3),
         "fk_chain": (skel.parents, skel.offsets, skel.axes, Rc, tc,
                      pose.theta),
         "landmark_points": (R, t, skel.lmk_joint, skel.lmk_local),
         "articulated_jacobian": (R, t, skel.axes, skel.ancestry, pts),
-        "admm_l1": (Vr, x0, 1.0, 5000, 1e-9, 1e-9, -1.0, True),
     }
 
     lane = "numba" if _kernels.NUMBA_ENABLED else "numpy (fallback)"

@@ -85,56 +85,11 @@ def _articulated_jacobian(R, t, axes, ancestry, pts):
     return J
 
 
-def _admm_l1(Vr, x0, rho, max_iter, primal_tol, dual_tol, omega_max, adapt):
-    """Equality-constrained l1 minimization via scaled ADMM.
-
-    Minimizes ||w||_1 over the affine set x0 + range-complement(Vr), where
-    Vr has orthonormal columns spanning the row space of the constraint
-    matrix and x0 is the minimum-norm feasible point.  The x-update is the
-    orthogonal projection onto the affine set; the z-update is
-    soft-thresholding followed by an optional box clamp at omega_max
-    (omega_max < 0 disables the box).  Returns the sparse iterate z, the
-    feasible iterate x, the scaled dual u, the final penalty, iteration
-    count and residual norms.
-    """
-    d = x0.shape[0]
-    x = x0.copy()
-    z = np.zeros(d)
-    u = np.zeros(d)
-    r_norm = 0.0
-    s_norm = 0.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        w = z - u
-        x = w - Vr @ (Vr.T @ w) + x0
-        z_old = z
-        v = x + u
-        thr = 1.0 / rho
-        z = np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
-        if omega_max >= 0.0:
-            z = np.minimum(np.maximum(z, -omega_max), omega_max)
-        u = u + x - z
-        r_norm = np.sqrt(np.sum((x - z) ** 2))
-        s_norm = rho * np.sqrt(np.sum((z - z_old) ** 2))
-        if r_norm <= primal_tol and s_norm <= dual_tol:
-            break
-        if adapt and it % 50 == 0:
-            # residual balancing keeps progress even on badly scaled inputs
-            if r_norm > 10.0 * s_norm:
-                rho *= 2.0
-                u /= 2.0
-            elif s_norm > 10.0 * r_norm:
-                rho /= 2.0
-                u *= 2.0
-    return z, x, u, rho, it, r_norm, s_norm
-
-
 _IMPLS = {
     "rotation_about_axis": _rotation_about_axis,
     "fk_chain": _fk_chain,
     "landmark_points": _landmark_points,
     "articulated_jacobian": _articulated_jacobian,
-    "admm_l1": _admm_l1,
 }
 
 NUMBA_ENABLED = os.environ.get("SPARSEMOTION_NUMBA", "1").lower() not in ("0", "false", "no")
@@ -150,10 +105,8 @@ if NUMBA_ENABLED:
     _fk_chain = njit(cache=True)(_fk_chain)
     _landmark_points = njit(cache=True)(_landmark_points)
     _articulated_jacobian = njit(cache=True)(_articulated_jacobian)
-    _admm_l1 = njit(cache=True)(_admm_l1)
 
 rotation_about_axis = _rotation_about_axis
 fk_chain = _fk_chain
 landmark_points = _landmark_points
 articulated_jacobian = _articulated_jacobian
-admm_l1 = _admm_l1

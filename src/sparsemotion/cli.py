@@ -127,6 +127,7 @@ def cmd_solve_frame(args) -> int:
             "dual_residual": stats.dual_residual,
             "objective": stats.objective,
             "converged": stats.converged,
+            "termination": stats.termination,
         }
         if not stats.converged:
             code = EXIT_RESOURCE

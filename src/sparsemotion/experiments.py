@@ -244,7 +244,9 @@ def run_sweep(
 
     Each trial draws its RNG stream from (seed, cell, trial) so serial and
     parallel execution agree.  Returns (rows, trial_records): aggregated
-    mean/std per cell and solver, plus per-trial dicts.
+    mean/std per cell and solver, plus per-trial dicts.  Each row also
+    counts the cell's trials that raised (``errors``, left out of
+    ``trials``) and the solver's non-converged solves (``not_converged``).
     """
     visible = None
     if occlude_landmark is not None:
@@ -271,6 +273,7 @@ def run_sweep(
             rigid_scale=rigid_scale,
         )
         per_solver: dict[str, list[TrialResult]] = {n: [] for n in solver_names}
+        errors = 0
         for t in range(trials):
             rng = np.random.default_rng((seed, cell_idx, t))
             pose = poses[t % len(poses)]
@@ -279,6 +282,7 @@ def run_sweep(
                     skel, pose, cam, cfg, rng, solver_names, opts, visible, epsilon
                 )
             except Exception as e:  # per-trial failures recorded, not fatal
+                errors += 1
                 records.append(
                     {"cell": cell_idx, "s": s, "delta": delta, "trial": t, "error": str(e)}
                 )
@@ -299,7 +303,14 @@ def run_sweep(
                 )
         for name in solver_names:
             rs = per_solver[name]
-            row = {"s": s, "delta": delta, "solver": name, "trials": len(rs)}
+            row = {
+                "s": s,
+                "delta": delta,
+                "solver": name,
+                "trials": len(rs),
+                "errors": errors,
+                "not_converged": sum(not r.converged for r in rs),
+            }
             for m in metric_names:
                 vals = np.array([getattr(r, m) for r in rs]) if rs else np.array([np.nan])
                 row[f"{m}_mean"] = float(np.mean(vals))

@@ -1,6 +1,6 @@
-"""Estimators for y = A rho + B omega: l1 basis pursuit via ADMM, the
-minimum-l2-norm baseline, and a brute-force l0 oracle, plus the shared
-rigid-elimination preprocessing.
+"""Estimators for y = A rho + B omega: l1 basis pursuit as an exact HiGHS
+linear program, the minimum-l2-norm baseline, and a brute-force l0 oracle,
+plus the shared rigid-elimination preprocessing.
 
 All solvers work on the reduced problem Btilde omega = ytilde obtained by
 projecting out the 6-dimensional rigid block; rho is recovered afterwards
@@ -14,11 +14,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
-from . import _kernels
 from .camera import Observation, SystemMatrices
 
 _DEG5 = math.radians(5.0)
+
+# scipy.optimize.linprog status codes
+_LP_OPTIMAL, _LP_ITERATION_LIMIT, _LP_INFEASIBLE = 0, 1, 2
+_TERMINATION = {
+    _LP_OPTIMAL: "converged",
+    _LP_ITERATION_LIMIT: "max_iter",
+    _LP_INFEASIBLE: "infeasible",
+}
+_LP_FEAS_TOL = 1e-7  # HiGHS's default primal feasibility tolerance
 
 
 class RankDeficientError(ValueError):
@@ -33,6 +42,10 @@ class NoFeasibleSupportError(ValueError):
     """No support of admissible size explains the observation."""
 
 
+class SolverError(RuntimeError):
+    """HiGHS ended a basis-pursuit LP with a status that yields no estimate."""
+
+
 @dataclass(frozen=True)
 class DifferentialMotion:
     rho: np.ndarray  # (6,) translation rates then rotation rates
@@ -45,13 +58,11 @@ class DifferentialMotion:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    admm_rho: float = 1.0
     max_iter: int = 2000
     primal_tol: float = 1e-9
     dual_tol: float = 1e-9
     omega_max: float = _DEG5  # rad, box half-width
     box_enabled: bool = False
-    adaptive_penalty: bool = True
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -62,13 +73,13 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveStats:
-    iterations: int
-    primal_residual: float
-    dual_residual: float
+    iterations: int  # simplex iterations of the LPs solved
+    primal_residual: float  # distance of omega from the affine constraint set
+    dual_residual: float  # KKT violation of dual_vector at omega
     objective: float  # ||omega||_1
     converged: bool
-    dual_vector: np.ndarray | None = None  # rho * u, the l1 dual certificate
-    box_infeasible: bool = False
+    termination: str  # "converged", "max_iter" or "infeasible"
+    dual_vector: np.ndarray  # l1 dual certificate u; zero at max_iter
 
 
 @dataclass(frozen=True)
@@ -140,43 +151,82 @@ def _affine_projection_data(Btilde, ytilde, rank_tol: float = 1e-10):
     return Vr, x0
 
 
+def _basis_pursuit_lp(Vr, b, upper, max_iter):
+    """min 1'(p + n) s.t. Vr'(p - n) = b, 0 <= p, n <= upper (None: no bound).
+
+    Returns (status, w, u, iterations) with w = p - n and the certificate
+    u = Vr @ lambda; w and u are None unless the LP was solved.
+    """
+    d = Vr.shape[0]
+    res = linprog(
+        np.ones(2 * d),
+        A_eq=np.hstack([Vr.T, -Vr.T]),
+        b_eq=b,
+        bounds=(0.0, upper),
+        method="highs",
+        options={"maxiter": max_iter},
+    )
+    if res.status == _LP_OPTIMAL:
+        return res.status, res.x[:d] - res.x[d:], Vr @ res.eqlin.marginals, res.nit
+    if res.status in (_LP_ITERATION_LIMIT, _LP_INFEASIBLE):
+        return res.status, None, None, res.nit
+    raise SolverError(f"basis-pursuit LP failed: {res.message}")
+
+
+def _kkt_violation(w, u, upper) -> float:
+    """Largest violation of the l1 optimality conditions by u at w.
+
+    u = sign(w) on the support inside the box, sign(w) u >= 1 where the
+    box binds, and |u| <= 1 off the support.  Entries within the LP's
+    feasibility tolerance of zero or of the box count as there.
+    """
+    on = np.abs(w) > _LP_FEAS_TOL
+    at_box = on & (np.abs(w) >= upper - _LP_FEAS_TOL) if upper is not None else False
+    sgn = np.sign(w)
+    viol = np.where(on, np.abs(u - sgn), np.abs(u) - 1.0)
+    viol = np.where(at_box, 1.0 - sgn * u, viol)
+    return float(np.max(viol, initial=0.0))
+
+
 def solve_rf(sys: SystemMatrices, y, opts: SolveOptions = SolveOptions()):
     """Relaxed formulation: min ||omega||_1 s.t. y = A rho + B omega.
 
-    Solved as basis pursuit on the rigid-eliminated system with ADMM
-    (affine projection / soft-threshold splitting); the box constraint
-    |omega_i| <= omega_max is clamped inside the z-update when enabled.
-    Returns (DifferentialMotion, SolveStats).
+    Solved as basis pursuit on the rigid-eliminated system: one HiGHS LP
+    over omega = p - n with the equality restricted to the numerical row
+    space of Btilde, in units of the min-norm solution's largest entry, and
+    bounds |omega_i| <= omega_max when the box is enabled.  When the box
+    makes the LP infeasible, the unboxed optimum clipped to the box is
+    returned; at the iteration limit, the clipped min-norm point.  Neither
+    counts as converged.  Returns (DifferentialMotion, SolveStats).
     """
     yv = y.y if isinstance(y, Observation) else np.asarray(y, dtype=float)
     Btilde, ytilde, _ = eliminate_rigid(sys.A, sys.B, yv)
     Vr, x0 = _affine_projection_data(Btilde, ytilde)
-    omega_max = opts.omega_max if opts.box_enabled else -1.0
-    z, x, u, rho_fin, iters, r_norm, s_norm = _kernels.admm_l1(
-        Vr,
-        x0,
-        float(opts.admm_rho),
-        int(opts.max_iter),
-        float(opts.primal_tol),
-        float(opts.dual_tol),
-        float(omega_max),
-        bool(opts.adaptive_penalty),
-    )
-    converged = r_norm <= opts.primal_tol and s_norm <= opts.dual_tol
-    box_infeasible = (
-        opts.box_enabled and not converged and r_norm > 1e2 * opts.primal_tol
-        and iters >= opts.max_iter
-    )
-    omega = z
+    scale = float(np.max(np.abs(x0), initial=0.0)) or 1.0
+    b = Vr.T @ x0 / scale
+    upper = opts.omega_max / scale if opts.box_enabled else None
+    status, w, u, iters = _basis_pursuit_lp(Vr, b, upper, opts.max_iter)
+    termination = _TERMINATION[status]
+    if status == _LP_INFEASIBLE:  # only the box can cut the affine set off
+        _, w, u, nit = _basis_pursuit_lp(Vr, b, None, opts.max_iter)
+        iters += nit
+    if w is None:  # iteration limit: fall back on the min-norm point
+        w, u = x0 / scale, np.zeros_like(x0)
+    omega = scale * w
+    if opts.box_enabled:
+        omega = np.clip(omega, -opts.omega_max, opts.omega_max)
+    primal = float(np.linalg.norm(Vr.T @ (omega - x0)))
+    dual = _kkt_violation(omega / scale, u, upper)
+    converged = termination == "converged" and primal <= opts.primal_tol and dual <= opts.dual_tol
     rho = recover_rigid(sys.A, yv, sys.B, omega)
     stats = SolveStats(
-        iterations=iters,
-        primal_residual=float(r_norm),
-        dual_residual=float(s_norm),
+        iterations=int(iters),
+        primal_residual=primal,
+        dual_residual=dual,
         objective=float(np.sum(np.abs(omega))),
-        converged=bool(converged),
-        dual_vector=rho_fin * u,
-        box_infeasible=bool(box_infeasible),
+        converged=converged,
+        termination=termination,
+        dual_vector=u,
     )
     return DifferentialMotion(rho, omega), stats
 

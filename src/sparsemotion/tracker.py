@@ -70,6 +70,7 @@ class FrameResult:
     reproj_err_px: float
     iterations: int
     converged: bool
+    termination: str | None  # SolveStats.termination; None for a skipped frame
     reinit: bool
     skipped: bool = False
 
@@ -147,6 +148,7 @@ def step_frame(
             reproj_err_px=float("nan"),
             iterations=0,
             converged=False,
+            termination=None,
             reinit=True,
             skipped=True,
         )
@@ -170,6 +172,7 @@ def step_frame(
         reproj_err_px=err,
         iterations=stats.iterations,
         converged=stats.converged,
+        termination=stats.termination,
         reinit=reinit,
     )
     new_state = TrackerState(
@@ -266,6 +269,9 @@ def frame_result_to_json(result: FrameResult) -> dict:
         "omega": result.omega.tolist(),
         "support": list(result.support.indices),
         "reproj_err_px": result.reproj_err_px,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "termination": result.termination,
         "reinit": result.reinit,
         "skipped": result.skipped,
     }

@@ -312,7 +312,7 @@ def test_criterion_09_single_frame_solve_under_50ms(skel40, cam1145):
         times.append(time.perf_counter() - t0)
     median_ms = float(np.median(times) * 1e3)
     ok = median_ms <= 50.0
-    report(9, ok, f"median single-frame solve (assembly + ADMM, d=40, N=13, "
+    report(9, ok, f"median single-frame solve (assembly + LP, d=40, N=13, "
                   f"tol 1e-6): {median_ms:.2f} ms (≤50 ms)")
 
 

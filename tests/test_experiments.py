@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsemotion import experiments
 from sparsemotion.experiments import (
     TrialConfig,
     gen_sparse_motion,
@@ -21,6 +22,7 @@ from sparsemotion.experiments import (
 from sparsemotion.camera import assemble_system
 from sparsemotion.kinematics import Pose
 from sparsemotion.liegroup import RigidTransform, exp_twist, Twist
+from sparsemotion.solvers import SolveOptions
 
 
 class TestTrialConfig:
@@ -262,6 +264,28 @@ class TestRunSweep:
         rows, _ = run_sweep(skel40, poses, cam1145, [(1, 0.0)], trials=1,
                             seed=5, occlude_landmark=3)
         assert rows[0]["trials"] == 1
+
+    def test_rows_count_errors_and_non_converged(self, skel40, cam1145,
+                                                 monkeypatch):
+        real = experiments.gen_sparse_motion
+        calls = []
+
+        def fails_on_second_trial(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("planted failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "gen_sparse_motion",
+                            fails_on_second_trial)
+        poses = [sample_pose(skel40, np.random.default_rng(12))]
+        rows, records = run_sweep(skel40, poses, cam1145, [(3, 0.0)],
+                                  trials=3, seed=4,
+                                  opts=SolveOptions(max_iter=1))
+        counts = {r["solver"]: (r["trials"], r["errors"], r["not_converged"])
+                  for r in rows}
+        assert counts == {"rf": (2, 1, 2), "l2": (2, 1, 0)}
+        assert [r["trial"] for r in records if "error" in r] == [1]
 
 
 class TestSerialization:

@@ -48,21 +48,6 @@ def test_fk_and_jacobian_kernels_match_reference(skel40):
         _kernels._IMPLS["articulated_jacobian"](*jargs), atol=1e-15)
 
 
-def test_admm_kernel_matches_reference(skel40_system):
-    rng = np.random.default_rng(2)
-    omega = np.zeros(40)
-    omega[[4, 18]] = [2e-3, -1e-3]
-    y = skel40_system.B @ omega
-    from sparsemotion.solvers import _affine_projection_data, eliminate_rigid
-    Bt, yt, _ = eliminate_rigid(skel40_system.A, skel40_system.B, y)
-    Vr, x0 = _affine_projection_data(Bt, yt)
-    args = (Vr, x0, 1.0, 5000, 1e-10, 1e-10, -1.0, True)
-    out_jit = _kernels.admm_l1(*args)
-    out_ref = _kernels._IMPLS["admm_l1"](*args)
-    for a, b in zip(out_jit, out_ref):
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-
 def test_fallback_lane_via_environment_flag():
     """A subprocess with SPARSEMOTION_NUMBA=0 must produce the same solve."""
     code = (

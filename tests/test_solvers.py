@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from sparsemotion import solvers
 from sparsemotion.camera import assemble_system
+from sparsemotion.experiments import (
+    TrialConfig,
+    gen_sparse_motion,
+    sample_pose,
+    synthesize_observation,
+)
 from sparsemotion.solvers import (
     DifferentialMotion,
     EnumerationBudgetError,
     NoFeasibleSupportError,
     RankDeficientError,
     SolveOptions,
+    SolverError,
     Support,
     eliminate_rigid,
     extract_support,
@@ -127,12 +136,39 @@ class TestSolveRF:
             assert stats.objective <= np.sum(np.abs(omega)) + 1e-7
 
     def test_box_constraint_respected(self, skel40_system):
-        rng = np.random.default_rng(5)
-        y, _, _ = sparse_observation(skel40_system, (9,), [0.2], rng=rng)
+        """A 0.2 rad step on DoF 9 is still explained by spreading it over
+        other joints inside the box (the bound is about 0.26 rad at this
+        pose); 0.5 rad is not, and the estimate is clipped to the box."""
         opts = SolveOptions(max_iter=20000, primal_tol=1e-10, dual_tol=1e-10,
                             box_enabled=True, omega_max=np.radians(5.0))
-        motion, _ = solve_rf(skel40_system, y, opts)
-        assert np.max(np.abs(motion.omega)) <= np.radians(5.0) + 1e-9
+        for mag, termination in ((0.2, "converged"), (0.5, "infeasible")):
+            rng = np.random.default_rng(5)
+            y, _, _ = sparse_observation(skel40_system, (9,), [mag], rng=rng)
+            motion, stats = solve_rf(skel40_system, y, opts)
+            assert np.max(np.abs(motion.omega)) <= np.radians(5.0) + 1e-9
+            assert stats.termination == termination
+            assert stats.converged == (termination == "converged")
+
+    def test_feasible_boxed_problem_converges(self, skel40, cam1145):
+        """A noiseless 4-sparse step planted inside the box: the boxed LP
+        is feasible and must converge to an exact solution in the box."""
+        pose_rng = np.random.default_rng(11)
+        poses = [sample_pose(skel40, pose_rng) for _ in range(8)]
+        t = 51
+        rng = np.random.default_rng((5, t))
+        pose = poses[t % 8]
+        sys_m = assemble_system(skel40, pose, cam1145)
+        truth = gen_sparse_motion(skel40, pose, 4, rng, TrialConfig(4, 0.0))
+        obs = synthesize_observation(skel40, pose, truth, cam1145, 0.0, rng,
+                                     sys=sys_m)
+        opts = SolveOptions(max_iter=20000, primal_tol=1e-10,
+                            dual_tol=1e-10, box_enabled=True)
+        motion, stats = solve_rf(sys_m, obs, opts)
+        assert stats.termination == "converged"
+        assert stats.converged
+        Bt, yt, _ = eliminate_rigid(sys_m.A, sys_m.B, obs.y)
+        assert np.linalg.norm(Bt @ motion.omega - yt) <= 1e-10
+        assert np.max(np.abs(motion.omega)) <= opts.omega_max
 
     def test_dual_certificate_bounded(self, skel40_system):
         """At convergence the scaled dual variable is an l1 subgradient
@@ -152,7 +188,18 @@ class TestSolveRF:
                             SolveOptions(max_iter=3, primal_tol=1e-14,
                                          dual_tol=1e-14))
         assert stats.iterations == 3
+        assert stats.termination == "max_iter"
         assert not stats.converged
+
+    def test_unexpected_lp_status_raises(self, skel40_system, monkeypatch):
+        """A HiGHS status with no estimate is a RuntimeError, which the
+        tracker's input-error handling does not swallow."""
+        monkeypatch.setattr(
+            solvers, "linprog",
+            lambda *a, **k: OptimizeResult(status=4, message="numerical"))
+        with pytest.raises(SolverError) as info:
+            solve_rf(skel40_system, skel40_system.B[:, 5] * 1e-3, TIGHT)
+        assert not isinstance(info.value, ValueError)
 
     def test_option_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from sparsemotion.tracker import (
     SequenceError,
     TrackOptions,
     differential_observation,
+    frame_result_to_jsonl,
     load_landmark_csv,
     make_initial_state,
     pose_from_json,
@@ -244,3 +246,24 @@ class TestSerialization:
     def test_pose_json_dof_check(self, skel40_pose):
         with pytest.raises(ValueError):
             pose_from_json(pose_to_json(skel40_pose), 12)
+
+    def test_frame_jsonl_reports_solve_outcome(self, skel40, cam1145,
+                                               skel40_pose):
+        state = make_initial_state(skel40, skel40_pose, cam1145)
+        omega = np.zeros(40)
+        omega[[12, 24]] = [3e-4, -2e-4]
+        frame = render_frame(
+            skel40, Pose(skel40_pose.camera_to_root, skel40_pose.theta + omega),
+            cam1145, 0)
+        _, solved = step_frame(state, frame, skel40, cam1145, TIGHT)
+        rec = json.loads(frame_result_to_jsonl(solved))
+        assert rec["iterations"] == solved.iterations > 0
+        assert rec["converged"] is True
+        assert rec["termination"] == "converged"
+
+        blind = LandmarkFrame(1, frame.uv, np.zeros(13, dtype=bool))
+        _, skipped = step_frame(state, blind, skel40, cam1145, TIGHT)
+        rec = json.loads(frame_result_to_jsonl(skipped))
+        assert rec["skipped"] is True
+        assert (rec["iterations"], rec["converged"], rec["termination"]) == (
+            0, False, None)
