@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import Pose, Skeleton, articulated_jacobian, fk_arrays, rigid_jacobian
+from .kinematics import Pose, Skeleton, fk_arrays, jacobian_from_fk, rigid_jacobian
 
 _COLLINEAR_TOL = 1e-6
 
@@ -66,11 +66,12 @@ class SystemMatrices:
 
 
 def project(p, cam: CameraModel) -> np.ndarray:
-    """Normalized perspective projection (x/z, y/z)."""
+    """Normalized perspective projection (x/z, y/z) of (..., 3) points."""
     p = np.asarray(p, dtype=float)
-    if p[2] < cam.min_depth:
-        raise DepthError(f"depth {p[2]:.3g} below minimum {cam.min_depth:.3g}")
-    return p[:2] / p[2]
+    z = p[..., 2]
+    if np.any(z < cam.min_depth):
+        raise DepthError(f"depth {np.min(z):.3g} below minimum {cam.min_depth:.3g}")
+    return p[..., :2] / z[..., None]
 
 
 def projection_jacobian(p, min_depth: float = 1e-3) -> np.ndarray:
@@ -128,7 +129,7 @@ def assemble_system(
     visible = np.asarray(visible, dtype=bool)
     if visible.shape != (n,):
         raise AssemblyError("visibility flag count does not match landmarks")
-    _, _, pts = fk_arrays(skel, pose)
+    R, t, pts = fk_arrays(skel, pose)
     # near-plane landmarks are dropped rather than erroring the frame
     visible = visible & (pts[:, 2] >= cam.min_depth)
     idx = np.flatnonzero(visible)
@@ -137,7 +138,7 @@ def assemble_system(
     vpts = pts[idx]
     if are_collinear(vpts):
         raise AssemblyError("visible landmarks are collinear")
-    J = articulated_jacobian(skel, pose)
+    J = jacobian_from_fk(skel, R, t, pts)
     G = rigid_jacobian(pts)
     rows3 = np.concatenate([[3 * i, 3 * i + 1, 3 * i + 2] for i in idx])
     M = stacked_projection_blocks(vpts, cam.min_depth)

@@ -31,10 +31,9 @@ from .tracker import (
     SequenceError,
     TrackOptions,
     frame_result_to_jsonl,
+    iter_track,
     load_landmark_csv,
-    make_initial_state,
     pose_from_json,
-    step_frame,
 )
 
 SCHEMA_VERSION = 1
@@ -232,11 +231,9 @@ def cmd_track(args) -> int:
     opts = TrackOptions(reinit_threshold_px=args.reinit_threshold)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        state = make_initial_state(skel, pose, cam, frames[0].frame_index - 1)
         n_reinit = 0
         errs = []
-        for frame in frames:
-            state, result = step_frame(state, frame, skel, cam, opts)
+        for state, result in iter_track(pose, frames, skel, cam, opts):
             n_reinit += int(result.reinit)
             if np.isfinite(result.reproj_err_px):
                 errs.append(result.reproj_err_px)

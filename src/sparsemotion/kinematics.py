@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import _kernels
-from .liegroup import RigidTransform, Twist, skew
+from .liegroup import RigidTransform, skew
 
 _AXIS_TOL = 1e-8
 
@@ -37,10 +37,6 @@ class JointSpec:
     axis: np.ndarray  # unit rotation axis in the reference configuration
     bound_min: float  # rad
     bound_max: float  # rad
-
-    def twist(self) -> Twist:
-        """Rotation axis through the joint origin, in the joint's own frame."""
-        return Twist(self.axis, np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -253,13 +249,17 @@ def forward_kinematics(skel: Skeleton, pose: Pose):
     return transforms, pts
 
 
+def jacobian_from_fk(skel: Skeleton, R, t, points) -> np.ndarray:
+    """articulated_jacobian from the (R, t, points) that fk_arrays returned."""
+    return _kernels.articulated_jacobian(R, t, skel.axes, skel.ancestry, points)
+
+
 def articulated_jacobian(skel: Skeleton, pose: Pose) -> np.ndarray:
     """3N x d Jacobian mapping joint rates to landmark 3D velocities.
 
     Column j is zero for landmarks that joint j does not parent.
     """
-    R, t, pts = fk_arrays(skel, pose)
-    return _kernels.articulated_jacobian(R, t, skel.axes, skel.ancestry, pts)
+    return jacobian_from_fk(skel, *fk_arrays(skel, pose))
 
 
 def rigid_jacobian(points) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Minimal SE(3)/se(3) primitives: skew operators, twist exponentials,
-conjugation of twists by rigid transforms.
+"""Minimal SE(3)/se(3) primitives: skew operators, rigid transforms and
+twist exponentials.
 
 Rotations are stored as 3x3 matrices.  All operations are pure functions on
 immutable values.
@@ -86,9 +86,6 @@ class Twist:
         H[:3, 3] = self.linear
         return H
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.angular, self.linear])
-
 
 def exp_twist(xi: Twist, theta: float) -> RigidTransform:
     """Closed-form exponential of a twist through angle/parameter theta.
@@ -121,14 +118,3 @@ def exp_twist_vector(rho) -> RigidTransform:
         return RigidTransform(np.eye(3), v)
     return exp_twist(Twist(w / angle, v / angle), angle)
 
-
-def conjugate_twist(T: RigidTransform, xi: Twist) -> Twist:
-    """Twist whose homogeneous form is T @ hat(xi) @ T^-1."""
-    w = T.rotation @ xi.angular
-    v = T.rotation @ xi.linear + np.cross(T.translation, w)
-    return Twist(w, v)
-
-
-def apply_body_velocity(xi: Twist, p) -> np.ndarray:
-    """Velocity of point p under the twist field: w x p + v."""
-    return np.cross(xi.angular, np.asarray(p, dtype=float)) + xi.linear

@@ -78,7 +78,7 @@ class FrameResult:
 def render_frame(skel: Skeleton, pose: Pose, cam: CameraModel, frame_index: int) -> LandmarkFrame:
     """Project the model landmarks to a fully visible pixel-space frame."""
     _, _, pts = fk_arrays(skel, pose)
-    uv = np.array([cam.to_pixels(project(p, cam)) for p in pts])
+    uv = cam.to_pixels(project(pts, cam))
     return LandmarkFrame(frame_index, uv, np.ones(len(pts), dtype=bool))
 
 
@@ -107,11 +107,10 @@ def reprojection_error(
     if idx.size == 0:
         raise ValueError("no visible landmarks")
     _, _, pts = fk_arrays(skel, pose)
-    errs = []
-    for i in idx:
-        uv = cam.to_pixels(project(pts[i], cam))
-        errs.append(np.linalg.norm(uv - frame.uv[i]))
-    return float(np.max(errs))
+    diff = cam.to_pixels(project(pts[idx], cam)) - frame.uv[idx]
+    # per-row inner products, the same dot that np.linalg.norm takes of one
+    # row, so each distance equals the per-landmark norm to the bit
+    return float(np.sqrt(np.max((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])))
 
 
 def make_initial_state(
@@ -185,7 +184,7 @@ def step_frame(
     return new_state, result
 
 
-def track_sequence(
+def iter_track(
     init_pose: Pose,
     frames,
     skel: Skeleton,
@@ -193,11 +192,12 @@ def track_sequence(
     opts: TrackOptions = TrackOptions(),
     reinit_provider=None,
 ):
-    """Fold step_frame over an ordered frame stream.
+    """Step through an ordered frame stream, yielding (state, result) per frame.
 
-    Returns (results, final_state).  On a reinit flag, reinit_provider
-    (frame_index) may supply a fresh pose; without one the flag is
-    recorded and tracking continues.
+    The frame stream is validated before the first frame is solved.  On a
+    reinit flag, reinit_provider(frame_index) may supply a fresh pose, which
+    the yielded state already carries; without one the flag is recorded and
+    tracking continues.
     """
     frames = list(frames)
     if not frames:
@@ -208,14 +208,31 @@ def track_sequence(
             raise SequenceError("frame indices must be strictly increasing")
         last = f.frame_index
     state = make_initial_state(skel, init_pose, cam, frames[0].frame_index - 1)
-    results = []
     for frame in frames:
         state, result = step_frame(state, frame, skel, cam, opts)
-        results.append(result)
         if result.reinit and reinit_provider is not None:
             new_pose = reinit_provider(frame.frame_index)
             if new_pose is not None:
                 state = make_initial_state(skel, new_pose, cam, frame.frame_index)
+        yield state, result
+
+
+def track_sequence(
+    init_pose: Pose,
+    frames,
+    skel: Skeleton,
+    cam: CameraModel,
+    opts: TrackOptions = TrackOptions(),
+    reinit_provider=None,
+):
+    """Fold step_frame over an ordered frame stream (see iter_track).
+
+    Returns (results, final_state).
+    """
+    results = []
+    state = None
+    for state, result in iter_track(init_pose, frames, skel, cam, opts, reinit_provider):
+        results.append(result)
     return results, state
 
 

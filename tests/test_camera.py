@@ -39,11 +39,16 @@ class TestProjection:
     def test_known_point(self):
         cam = CameraModel(focal=1145.0)
         np.testing.assert_allclose(project([1.0, 2.0, 4.0], cam), [0.25, 0.5])
+        pts = np.array([[1.0, 2.0, 4.0], [-3.0, 0.5, 2.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(
+            project(pts, cam), [[0.25, 0.5], [-1.5, 0.25], [0.0, 0.0]])
 
     def test_depth_guard(self):
         cam = CameraModel(focal=1145.0)
         with pytest.raises(DepthError):
             project([0.0, 0.0, 1e-6], cam)
+        with pytest.raises(DepthError):
+            project([[1.0, 2.0, 4.0], [0.0, 0.0, 1e-6], [0.5, 0.5, 3.0]], cam)
 
     @given(st.floats(-5, 5), st.floats(-5, 5),
            st.floats(0.1, 50), st.floats(0.01, 10))

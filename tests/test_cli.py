@@ -7,8 +7,15 @@ import pytest
 from sparsemotion.camera import CameraModel, assemble_system
 from sparsemotion.cli import run
 from sparsemotion.experiments import sample_pose
-from sparsemotion.kinematics import default_skeleton
-from sparsemotion.tracker import pose_to_json, render_frame
+from sparsemotion.kinematics import Pose, default_skeleton
+from sparsemotion.tracker import (
+    TrackOptions,
+    load_landmark_csv,
+    pose_from_json,
+    pose_to_json,
+    render_frame,
+    track_sequence,
+)
 
 from conftest import toy12_config
 
@@ -186,18 +193,21 @@ class TestSynthBench:
         assert code == 1
 
 
+def landmark_csv(paths, poses):
+    """Landmark CSV text with frame k rendered at poses[k], all visible."""
+    rows = ["frame,landmark_id,u,v,visible"]
+    for k, pose in enumerate(poses):
+        frame = render_frame(paths["skel_obj"], pose, paths["cam_obj"], k)
+        for lid, (u, v) in enumerate(frame.uv):
+            rows.append(f"{k},{lid},{float(u)!r},{float(v)!r},1")
+    return "\n".join(rows) + "\n"
+
+
 class TestTrack:
     def test_static_sequence(self, paths, tmp_path, capsys):
-        skel, cam, pose = (paths["skel_obj"], paths["cam_obj"],
-                           paths["pose_obj"])
-        rows = ["frame,landmark_id,u,v,visible"]
-        for k in range(3):
-            frame = render_frame(skel, pose, cam, k)
-            for lid in range(13):
-                u, v = frame.uv[lid]
-                rows.append(f"{k},{lid},{float(u)!r},{float(v)!r},1")
+        pose = paths["pose_obj"]
         lm_path = tmp_path / "landmarks.csv"
-        lm_path.write_text("\n".join(rows) + "\n")
+        lm_path.write_text(landmark_csv(paths, [pose] * 3))
         out_path = tmp_path / "track.jsonl"
         code = run(["track", "--skeleton", paths["skel"],
                     "--camera", paths["cam"], "--init-pose", paths["pose"],
@@ -210,6 +220,36 @@ class TestTrack:
         assert summary["summary"] and summary["frames"] == 3
         assert summary["reinit_count"] == 0
         assert summary["mean_reproj_err_px"] < 1e-6
+
+    def test_theta_lines_match_track_sequence(self, paths, tmp_path, capsys):
+        """Each frame's streamed theta_deg is the pose track_sequence
+        reaches on the same frames up to that one."""
+        skel, cam = paths["skel_obj"], paths["cam_obj"]
+        with open(paths["pose"]) as fh:
+            pose = pose_from_json(json.load(fh), skel.dof)
+        csv_text = landmark_csv(paths, [
+            Pose(pose.camera_to_root, pose.theta + (k + 1) * paths["omega"])
+            for k in range(4)])
+        lm_path = tmp_path / "landmarks.csv"
+        lm_path.write_text(csv_text)
+        out_path = tmp_path / "track.jsonl"
+        code = run(["track", "--skeleton", paths["skel"],
+                    "--camera", paths["cam"], "--init-pose", paths["pose"],
+                    "--landmarks", str(lm_path), "--out", str(out_path)])
+        capsys.readouterr()
+        assert code == 0
+        lines = [json.loads(x) for x in out_path.read_text().splitlines()]
+        frames = load_landmark_csv(csv_text, skel.n_landmarks)
+        assert len(lines) == len(frames) + 1
+        for k, line in enumerate(lines[:-1]):
+            _, state = track_sequence(pose, frames[:k + 1], skel, cam,
+                                      TrackOptions())
+            assert line["frame"] == k
+            np.testing.assert_array_equal(line["theta_deg"],
+                                          np.degrees(state.pose.theta))
+        moved = np.flatnonzero(np.abs(np.radians(lines[-2]["theta_deg"])
+                                      - pose.theta) > 1e-3)
+        assert set(moved) == {5, 22}
 
     def test_bad_landmark_csv(self, paths, tmp_path, capsys):
         lm_path = tmp_path / "bad.csv"

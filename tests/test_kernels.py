@@ -1,92 +1,120 @@
-"""The jitted kernels and their pure-numpy originals must agree bitwise-
-closely; the originals in _IMPLS are the reference lane selected by
-SPARSEMOTION_NUMBA=0."""
+"""The vectorized kernels must reproduce the scalar loop formulas below
+exactly: same expressions per element, so equal to the last bit."""
 
-import subprocess
-import sys
+import itertools
 
 import numpy as np
 
-from sparsemotion import _kernels
-from sparsemotion.kinematics import Pose, fk_arrays
-from sparsemotion.solvers import SolveOptions, solve_rf
+from sparsemotion import _kernels, camera, kinematics
+from sparsemotion.camera import assemble_system
+from sparsemotion.kinematics import Pose, articulated_jacobian, fk_arrays
+from sparsemotion.liegroup import exp_twist_vector
 
 from conftest import in_bounds_pose
 
 
+def ref_rotation_about_axis(axis, theta):
+    c = np.cos(theta)
+    s = np.sin(theta)
+    one_c = 1.0 - c
+    x, y, z = axis[0], axis[1], axis[2]
+    R = np.empty((3, 3))
+    R[0, 0] = c + x * x * one_c
+    R[0, 1] = x * y * one_c - z * s
+    R[0, 2] = x * z * one_c + y * s
+    R[1, 0] = y * x * one_c + z * s
+    R[1, 1] = c + y * y * one_c
+    R[1, 2] = y * z * one_c - x * s
+    R[2, 0] = z * x * one_c - y * s
+    R[2, 1] = z * y * one_c + x * s
+    R[2, 2] = c + z * z * one_c
+    return R
+
+
+def ref_fk_chain(parents, offsets, axes, Rc, tc, theta):
+    d = parents.shape[0]
+    R = np.empty((d, 3, 3))
+    t = np.empty((d, 3))
+    for j in range(d):
+        p = parents[j]
+        if p < 0:
+            Rp = Rc
+            tp = tc
+        else:
+            Rp = R[p]
+            tp = t[p]
+        t[j] = tp + Rp @ offsets[j]
+        R[j] = Rp @ ref_rotation_about_axis(axes[j], theta[j])
+    return R, t
+
+
+def ref_landmark_points(R, t, lmk_joint, lmk_local):
+    n = lmk_joint.shape[0]
+    pts = np.empty((n, 3))
+    for i in range(n):
+        j = lmk_joint[i]
+        pts[i] = t[j] + R[j] @ lmk_local[i]
+    return pts
+
+
+def ref_articulated_jacobian(R, t, axes, ancestry, pts):
+    d = axes.shape[0]
+    n = pts.shape[0]
+    J = np.zeros((3 * n, d))
+    for j in range(d):
+        w = R[j] @ axes[j]
+        for i in range(n):
+            if ancestry[j, i]:
+                rx = pts[i, 0] - t[j, 0]
+                ry = pts[i, 1] - t[j, 1]
+                rz = pts[i, 2] - t[j, 2]
+                J[3 * i + 0, j] = w[1] * rz - w[2] * ry
+                J[3 * i + 1, j] = w[2] * rx - w[0] * rz
+                J[3 * i + 2, j] = w[0] * ry - w[1] * rx
+    return J
+
+
 def test_rotation_kernel_matches_reference():
     rng = np.random.default_rng(0)
-    ref = _kernels._IMPLS["rotation_about_axis"]
-    for _ in range(50):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        theta = rng.uniform(-np.pi, np.pi)
-        np.testing.assert_allclose(
-            _kernels.rotation_about_axis(axis, theta), ref(axis, theta),
-            atol=1e-15)
+    axes = rng.standard_normal((50, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    theta = rng.uniform(-np.pi, np.pi, 50)
+    batched = _kernels.axis_rotations(axes, theta)
+    for k in range(50):
+        np.testing.assert_array_equal(
+            batched[k], ref_rotation_about_axis(axes[k], theta[k]))
 
 
-def test_fk_and_jacobian_kernels_match_reference(skel40):
+def test_fk_and_jacobian_kernels_match_reference(skel40, toy8, toy12):
     rng = np.random.default_rng(1)
-    pose = in_bounds_pose(skel40, rng)
-    Rc = pose.camera_to_root.rotation
-    tc = pose.camera_to_root.translation
-    args = (skel40.parents, skel40.offsets, skel40.axes, Rc, tc, pose.theta)
-    R, t = _kernels.fk_chain(*args)
-    R2, t2 = _kernels._IMPLS["fk_chain"](*args)
-    np.testing.assert_allclose(R, R2, atol=1e-15)
-    np.testing.assert_allclose(t, t2, atol=1e-15)
-
-    pts = _kernels.landmark_points(R, t, skel40.lmk_joint, skel40.lmk_local)
-    pts2 = _kernels._IMPLS["landmark_points"](R, t, skel40.lmk_joint,
-                                              skel40.lmk_local)
-    np.testing.assert_allclose(pts, pts2, atol=1e-15)
-
-    jargs = (R, t, skel40.axes, skel40.ancestry, pts)
-    np.testing.assert_allclose(
-        _kernels.articulated_jacobian(*jargs),
-        _kernels._IMPLS["articulated_jacobian"](*jargs), atol=1e-15)
+    for skel, _ in itertools.product((skel40, toy8, toy12), range(20)):
+        pose = in_bounds_pose(skel, rng)
+        # a general camera-to-root rotation, not only the identity
+        Tc = exp_twist_vector(rng.uniform(-0.5, 0.5, 6)).compose(pose.camera_to_root)
+        pose = Pose(Tc, pose.theta)
+        R, t, pts = fk_arrays(skel, pose)
+        R2, t2 = ref_fk_chain(
+            skel.parents, skel.offsets, skel.axes, pose.camera_to_root.rotation,
+            pose.camera_to_root.translation, pose.theta)
+        pts2 = ref_landmark_points(R2, t2, skel.lmk_joint, skel.lmk_local)
+        np.testing.assert_array_equal(R, R2)
+        np.testing.assert_array_equal(t, t2)
+        np.testing.assert_array_equal(pts, pts2)
+        np.testing.assert_array_equal(
+            articulated_jacobian(skel, pose),
+            ref_articulated_jacobian(R2, t2, skel.axes, skel.ancestry, pts2))
 
 
-def test_fallback_lane_via_environment_flag():
-    """A subprocess with SPARSEMOTION_NUMBA=0 must produce the same solve."""
-    code = (
-        "import os; os.environ['SPARSEMOTION_NUMBA'] = '0'\n"
-        "import numpy as np\n"
-        "from sparsemotion import _kernels\n"
-        "assert not _kernels.NUMBA_ENABLED\n"
-        "from sparsemotion.kinematics import default_skeleton\n"
-        "from sparsemotion.camera import CameraModel, assemble_system\n"
-        "from sparsemotion.experiments import sample_pose\n"
-        "from sparsemotion.solvers import SolveOptions, solve_rf\n"
-        "skel = default_skeleton()\n"
-        "cam = CameraModel(focal=1145.0)\n"
-        "pose = sample_pose(skel, np.random.default_rng(7))\n"
-        "sys_m = assemble_system(skel, pose, cam)\n"
-        "omega = np.zeros(40); omega[[4, 18]] = [2e-3, -1e-3]\n"
-        "y = sys_m.B @ omega\n"
-        "opts = SolveOptions(max_iter=20000, primal_tol=1e-10,"
-        " dual_tol=1e-10)\n"
-        "motion, stats = solve_rf(sys_m, y, opts)\n"
-        "assert stats.converged\n"
-        "print(repr(motion.omega.tolist()))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    fallback_omega = np.array(eval(proc.stdout.strip()))
+def test_assemble_system_runs_forward_kinematics_once(skel40, skel40_pose,
+                                                      cam1145, monkeypatch):
+    """Counted at both bindings, so a Jacobian that reruns FK shows."""
+    calls = []
 
-    from sparsemotion.camera import CameraModel, assemble_system
-    from sparsemotion.experiments import sample_pose
-    from sparsemotion.kinematics import default_skeleton
-    skel = default_skeleton()
-    cam = CameraModel(focal=1145.0)
-    pose = sample_pose(skel, np.random.default_rng(7))
-    sys_m = assemble_system(skel, pose, cam)
-    omega = np.zeros(40)
-    omega[[4, 18]] = [2e-3, -1e-3]
-    motion, stats = solve_rf(sys_m, sys_m.B @ omega,
-                             SolveOptions(max_iter=20000, primal_tol=1e-10,
-                                          dual_tol=1e-10))
-    assert stats.converged
-    np.testing.assert_allclose(motion.omega, fallback_omega, atol=1e-12)
+    def counting_fk(*args):
+        calls.append(1)
+        return fk_arrays(*args)
+
+    monkeypatch.setattr(camera, "fk_arrays", counting_fk)
+    monkeypatch.setattr(kinematics, "fk_arrays", counting_fk)
+    assemble_system(skel40, skel40_pose, cam1145)
+    assert len(calls) == 1

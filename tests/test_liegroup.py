@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from sparsemotion.liegroup import (
     RigidTransform,
     Twist,
-    apply_body_velocity,
-    conjugate_twist,
     exp_twist,
     exp_twist_vector,
     skew,
@@ -148,68 +146,3 @@ class TestExpTwist:
         T2 = exp_twist_vector(np.concatenate([v * theta, w * theta]))
         np.testing.assert_allclose(T1.matrix(), T2.matrix(), atol=1e-12)
 
-
-class TestConjugateTwist:
-    def test_identity_leaves_twist(self):
-        rng = np.random.default_rng(10)
-        xi = Twist(angular=unit3(rng), linear=vec3(rng))
-        out = conjugate_twist(RigidTransform.identity(), xi)
-        np.testing.assert_allclose(out.angular, xi.angular)
-        np.testing.assert_allclose(out.linear, xi.linear)
-
-    def test_pure_rotation_rotates_axis(self):
-        T = exp_twist(Twist(angular=np.array([0.0, 0, 1]), linear=np.zeros(3)),
-                      math.pi / 2)
-        out = conjugate_twist(T, Twist(angular=np.array([1.0, 0, 0]),
-                                       linear=np.zeros(3)))
-        np.testing.assert_allclose(out.angular, [0, 1, 0], atol=1e-14)
-
-    def test_matches_dense_conjugation(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            T = random_transform(rng)
-            xi = Twist(angular=unit3(rng), linear=vec3(rng))
-            dense = T.matrix() @ xi.hat() @ T.inverse().matrix()
-            out = conjugate_twist(T, xi).hat()
-            np.testing.assert_allclose(out, dense, atol=1e-12)
-
-    def test_composition_homomorphism(self):
-        rng = np.random.default_rng(12)
-        T1, T2 = random_transform(rng), random_transform(rng)
-        xi = Twist(angular=unit3(rng), linear=vec3(rng))
-        lhs = conjugate_twist(T1.compose(T2), xi)
-        rhs = conjugate_twist(T1, conjugate_twist(T2, xi))
-        np.testing.assert_allclose(lhs.as_vector(), rhs.as_vector(), atol=1e-11)
-
-
-class TestApplyBodyVelocity:
-    def test_zero_twist(self):
-        out = apply_body_velocity(Twist(angular=np.zeros(3), linear=np.zeros(3)),
-                                  np.array([1.0, 2, 3]))
-        np.testing.assert_allclose(out, 0)
-
-    def test_unit_rotation_field(self):
-        xi = Twist(angular=np.array([0.0, 0, 1]), linear=np.zeros(3))
-        np.testing.assert_allclose(apply_body_velocity(xi, [1.0, 0, 0]),
-                                   [0, 1, 0], atol=1e-15)
-
-    def test_matches_finite_difference_of_exponential(self):
-        rng = np.random.default_rng(13)
-        h = 1e-6
-        for _ in range(10):
-            xi = Twist(angular=unit3(rng), linear=vec3(rng))
-            p = vec3(rng, 2)
-            fd = (exp_twist(xi, h).apply(p) - exp_twist(xi, -h).apply(p)) / (2 * h)
-            np.testing.assert_allclose(apply_body_velocity(xi, p), fd, atol=1e-5)
-
-    def test_linear_in_twist(self):
-        rng = np.random.default_rng(14)
-        x1 = Twist(angular=vec3(rng), linear=vec3(rng))
-        x2 = Twist(angular=vec3(rng), linear=vec3(rng))
-        p = vec3(rng)
-        a, b = 2.0, -0.5
-        combo = Twist(angular=a * x1.angular + b * x2.angular,
-                      linear=a * x1.linear + b * x2.linear)
-        lhs = apply_body_velocity(combo, p)
-        rhs = a * apply_body_velocity(x1, p) + b * apply_body_velocity(x2, p)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-13)
