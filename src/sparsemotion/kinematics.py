@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import _kernels
-from .liegroup import RigidTransform, skew
+from .liegroup import RigidTransform
 
 _AXIS_TOL = 1e-8
 
@@ -267,13 +267,13 @@ def rigid_jacobian(points) -> np.ndarray:
 
     Block i is [I | -skew(p_i)]: pdot = v + w x p.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    G = np.zeros((3 * n, 6))
-    for i in range(n):
-        G[3 * i : 3 * i + 3, :3] = np.eye(3)
-        G[3 * i : 3 * i + 3, 3:] = -skew(pts[i])
-    return G
+    x, y, z = np.atleast_2d(np.asarray(points, dtype=float)).T
+    G = np.zeros((x.size, 3, 6))
+    G[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    G[:, 0, 4], G[:, 0, 5] = z, -y
+    G[:, 1, 3], G[:, 1, 5] = -z, x
+    G[:, 2, 3], G[:, 2, 4] = y, -x
+    return G.reshape(3 * x.size, 6)
 
 
 def clamp_angles(theta, skel: Skeleton) -> np.ndarray:

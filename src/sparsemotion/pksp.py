@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .solvers import RankDeficientError, Support
-
-_DEFAULT_RANK_TOL = 1e-10
+from .camera import RANK_TOL, reduce_system
+from .solvers import Support
 
 
 class BudgetExceededError(ValueError):
@@ -37,7 +36,6 @@ class InvalidCounterexampleError(ValueError):
 @dataclass(frozen=True)
 class AmbiguityBasis:
     Z: np.ndarray  # d x k, orthonormal columns spanning ker(Pperp @ B)
-    rank_tol: float
     rank_warning: bool = False  # singular values near the rank threshold
 
     @property
@@ -67,22 +65,10 @@ class AmbiguousObservation:
     z_off: np.ndarray  # rigid vector paired with x_off
 
 
-def ambiguity_nullspace(A, B, rank_tol: float = _DEFAULT_RANK_TOL) -> AmbiguityBasis:
+def ambiguity_nullspace(A, B, rank_tol: float = RANK_TOL) -> AmbiguityBasis:
     """Orthonormal basis of {w : B w in span(A)} = ker((I - QQ^T) B)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Ua, sa, _ = np.linalg.svd(A, full_matrices=False)
-    if sa[-1] <= rank_tol * sa[0]:
-        raise RankDeficientError("rigid block is rank deficient")
-    PB = B - Ua @ (Ua.T @ B)
-    _, sv, Vt = np.linalg.svd(PB, full_matrices=True)
-    d = B.shape[1]
-    smax = sv[0] if sv.size else 0.0
-    thresh = rank_tol * max(smax, 1.0)
-    nz = int(np.sum(sv > thresh))
-    warning = bool(np.any((sv > 0.1 * thresh) & (sv < 10.0 * thresh)))
-    Z = np.ascontiguousarray(Vt[nz:].T)  # d x k
-    return AmbiguityBasis(Z=Z, rank_tol=rank_tol, rank_warning=warning)
+    red = reduce_system(A, B, rank_tol)
+    return AmbiguityBasis(Z=np.ascontiguousarray(red.null_space), rank_warning=red.rank_warning)
 
 
 def _normalized_gap(v, on_mask) -> float:

@@ -1,10 +1,10 @@
 """Estimators for y = A rho + B omega: l1 basis pursuit as an exact HiGHS
-linear program, the minimum-l2-norm baseline, and a brute-force l0 oracle,
-plus the shared rigid-elimination preprocessing.
+linear program, the minimum-l2-norm baseline, and a brute-force l0 oracle.
 
-All solvers work on the reduced problem Btilde omega = ytilde obtained by
-projecting out the 6-dimensional rigid block; rho is recovered afterwards
-by least squares.
+The l1 and l2 solvers work on the reduced problem Btilde omega = ytilde
+obtained by projecting out the 6-dimensional rigid block, and recover rho
+afterwards by least squares.  Both read the factorization that
+camera.assemble_system keeps on the system (camera.reduce_system).
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ _TERMINATION = {
     _LP_INFEASIBLE: "infeasible",
 }
 _LP_FEAS_TOL = 1e-7  # HiGHS's default primal feasibility tolerance
-
-
-class RankDeficientError(ValueError):
-    """Rigid block A does not have full column rank."""
 
 
 class EnumerationBudgetError(ValueError):
@@ -105,52 +101,6 @@ def extract_support(omega, epsilon: float) -> Support:
     return Support(tuple(np.flatnonzero(np.abs(omega) > epsilon)), epsilon)
 
 
-def eliminate_rigid(A, B, y, rank_tol: float = 1e-10):
-    """Project the rigid block out of the equality constraint.
-
-    Returns (Btilde, ytilde, Q) where Q is an orthonormal basis of span(A)
-    and Btilde = (I - QQ^T) B, ytilde = (I - QQ^T) y.  Solutions of
-    Btilde w = ytilde are exactly the articulated rates for which some
-    rigid rate satisfies the original equality.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    y = np.asarray(y, dtype=float)
-    U, sv, _ = np.linalg.svd(A, full_matrices=False)
-    if sv[-1] <= rank_tol * sv[0]:
-        raise RankDeficientError("rigid Jacobian block is rank deficient")
-    Q = U
-    Btilde = B - Q @ (Q.T @ B)
-    ytilde = y - Q @ (Q.T @ y)
-    return Btilde, ytilde, Q
-
-
-def recover_rigid(A, y, B, omega) -> np.ndarray:
-    """Least-squares rho solving A rho = y - B omega (unique by full rank)."""
-    A = np.asarray(A, dtype=float)
-    rhs = np.asarray(y, dtype=float) - np.asarray(B, dtype=float) @ np.asarray(omega, dtype=float)
-    rho, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < 6:
-        raise RankDeficientError("rigid Jacobian block is rank deficient")
-    return rho
-
-
-def _affine_projection_data(Btilde, ytilde, rank_tol: float = 1e-10):
-    """Row-space basis Vr and min-norm feasible point for Bt w = yt.
-
-    Singular values below rank_tol * sigma_max are treated as zero so that
-    noise landing on the numerical null space is discarded rather than
-    amplified.
-    """
-    U, sv, Vt = np.linalg.svd(Btilde, full_matrices=False)
-    r = int(np.sum(sv > rank_tol * max(sv[0], 1.0))) if sv.size else 0
-    Vr = np.ascontiguousarray(Vt[:r].T)
-    if r == 0:
-        return Vr, np.zeros(Btilde.shape[1])
-    x0 = Vt[:r].T @ ((U[:, :r].T @ ytilde) / sv[:r])
-    return Vr, x0
-
-
 def _basis_pursuit_lp(Vr, b, upper, max_iter):
     """min 1'(p + n) s.t. Vr'(p - n) = b, 0 <= p, n <= upper (None: no bound).
 
@@ -200,8 +150,7 @@ def solve_rf(sys: SystemMatrices, y, opts: SolveOptions = SolveOptions()):
     counts as converged.  Returns (DifferentialMotion, SolveStats).
     """
     yv = y.y if isinstance(y, Observation) else np.asarray(y, dtype=float)
-    Btilde, ytilde, _ = eliminate_rigid(sys.A, sys.B, yv)
-    Vr, x0 = _affine_projection_data(Btilde, ytilde)
+    Vr, x0 = sys.reduction.row_space, sys.reduction.min_norm(yv)
     scale = float(np.max(np.abs(x0), initial=0.0)) or 1.0
     b = Vr.T @ x0 / scale
     upper = opts.omega_max / scale if opts.box_enabled else None
@@ -218,7 +167,7 @@ def solve_rf(sys: SystemMatrices, y, opts: SolveOptions = SolveOptions()):
     primal = float(np.linalg.norm(Vr.T @ (omega - x0)))
     dual = _kkt_violation(omega / scale, u, upper)
     converged = termination == "converged" and primal <= opts.primal_tol and dual <= opts.dual_tol
-    rho = recover_rigid(sys.A, yv, sys.B, omega)
+    rho = sys.reduction.rigid_rates(yv - sys.B @ omega)
     stats = SolveStats(
         iterations=int(iters),
         primal_residual=primal,
@@ -234,10 +183,8 @@ def solve_rf(sys: SystemMatrices, y, opts: SolveOptions = SolveOptions()):
 def solve_l2(sys: SystemMatrices, y) -> DifferentialMotion:
     """Minimum-l2-norm omega satisfying the equality constraint (closed form)."""
     yv = y.y if isinstance(y, Observation) else np.asarray(y, dtype=float)
-    Btilde, ytilde, _ = eliminate_rigid(sys.A, sys.B, yv)
-    omega = np.linalg.pinv(Btilde, rcond=1e-10) @ ytilde
-    rho = recover_rigid(sys.A, yv, sys.B, omega)
-    return DifferentialMotion(rho, omega)
+    omega = sys.reduction.min_norm(yv)
+    return DifferentialMotion(sys.reduction.rigid_rates(yv - sys.B @ omega), omega)
 
 
 def solve_l0_oracle(sys: SystemMatrices, y, s_max: int, feas_tol: float = 1e-8):

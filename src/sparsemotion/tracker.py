@@ -7,17 +7,16 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .camera import AssemblyError, CameraModel, Observation, assemble_system, project
+from .camera import AssemblyError, CameraModel, Observation, RankDeficientError
+from .camera import assemble_system, project
 from .kinematics import Pose, Skeleton, clamp_angles, fk_arrays
 from .liegroup import RigidTransform, exp_twist_vector
 from .solvers import SolveOptions, Support, extract_support, solve_rf
 
-_DEG5 = math.radians(5.0)
 _RENORM_EVERY = 100  # composition steps between rotation renormalizations
 
 
@@ -39,15 +38,7 @@ class LandmarkFrame:
 
 @dataclass(frozen=True)
 class TrackOptions:
-    solve: SolveOptions = field(
-        default_factory=lambda: SolveOptions(
-            max_iter=5000,
-            primal_tol=1e-9,
-            dual_tol=1e-9,
-            omega_max=_DEG5,
-            box_enabled=True,
-        )
-    )
+    solve: SolveOptions = SolveOptions(max_iter=5000, box_enabled=True)
     reinit_threshold_px: float = 50.0
     support_epsilon: float = 1e-4
 
@@ -137,8 +128,10 @@ def step_frame(
     try:
         obs = differential_observation(state.last_frame, frame, cam)
         sys = assemble_system(skel, state.pose, cam, obs.visible)
+        if sys.n_visible < np.count_nonzero(obs.visible):
+            raise AssemblyError("an observed landmark is below the camera's minimum depth")
         motion, stats = solve_rf(sys, obs, opts.solve)
-    except (AssemblyError, ValueError) as e:
+    except (AssemblyError, SequenceError, RankDeficientError):
         result = FrameResult(
             frame_index=frame.frame_index,
             rho=np.zeros(6),
@@ -151,9 +144,7 @@ def step_frame(
             reinit=True,
             skipped=True,
         )
-        new_state = replace(state, needs_reinit=True)
-        del e
-        return new_state, result
+        return replace(state, needs_reinit=True), result
 
     theta = clamp_angles(state.pose.theta + motion.omega, skel)
     Tc = exp_twist_vector(motion.rho).compose(state.pose.camera_to_root)

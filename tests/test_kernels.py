@@ -1,14 +1,20 @@
-"""The vectorized kernels must reproduce the scalar loop formulas below
-exactly: same expressions per element, so equal to the last bit."""
+"""The vectorized kernels and block builders must reproduce the scalar
+loop formulas below exactly: same expressions per element, so equal to the
+last bit."""
 
 import itertools
 
 import numpy as np
 
 from sparsemotion import _kernels, camera, kinematics
-from sparsemotion.camera import assemble_system
-from sparsemotion.kinematics import Pose, articulated_jacobian, fk_arrays
-from sparsemotion.liegroup import exp_twist_vector
+from sparsemotion.camera import (
+    assemble_system,
+    projection_jacobian,
+    stacked_projection_blocks,
+    stacked_projection_kernel,
+)
+from sparsemotion.kinematics import Pose, articulated_jacobian, fk_arrays, rigid_jacobian
+from sparsemotion.liegroup import exp_twist_vector, skew
 
 from conftest import in_bounds_pose
 
@@ -74,6 +80,31 @@ def ref_articulated_jacobian(R, t, axes, ancestry, pts):
     return J
 
 
+def ref_rigid_jacobian(pts):
+    n = pts.shape[0]
+    G = np.zeros((3 * n, 6))
+    for i in range(n):
+        G[3 * i : 3 * i + 3, :3] = np.eye(3)
+        G[3 * i : 3 * i + 3, 3:] = -skew(pts[i])
+    return G
+
+
+def ref_stacked_projection_blocks(pts):
+    n = pts.shape[0]
+    M = np.zeros((2 * n, 3 * n))
+    for i in range(n):
+        M[2 * i : 2 * i + 2, 3 * i : 3 * i + 3] = projection_jacobian(pts[i])
+    return M
+
+
+def ref_stacked_projection_kernel(pts):
+    n = pts.shape[0]
+    K = np.zeros((3 * n, n))
+    for i in range(n):
+        K[3 * i : 3 * i + 3, i] = pts[i]
+    return K
+
+
 def test_rotation_kernel_matches_reference():
     rng = np.random.default_rng(0)
     axes = rng.standard_normal((50, 3))
@@ -103,6 +134,30 @@ def test_fk_and_jacobian_kernels_match_reference(skel40, toy8, toy12):
         np.testing.assert_array_equal(
             articulated_jacobian(skel, pose),
             ref_articulated_jacobian(R2, t2, skel.axes, skel.ancestry, pts2))
+
+
+def test_block_builders_and_assembly_match_reference(skel40, toy8, toy12,
+                                                    cam1145):
+    rng = np.random.default_rng(2)
+    for skel, _ in itertools.product((skel40, toy8, toy12), range(20)):
+        pose = in_bounds_pose(skel, rng)
+        R, t, pts = fk_arrays(skel, pose)
+        G = ref_rigid_jacobian(pts)
+        M = ref_stacked_projection_blocks(pts)
+        np.testing.assert_array_equal(rigid_jacobian(pts), G)
+        np.testing.assert_array_equal(stacked_projection_blocks(pts), M)
+        np.testing.assert_array_equal(stacked_projection_kernel(pts),
+                                      ref_stacked_projection_kernel(pts))
+        sys_m = assemble_system(skel, pose, cam1145)
+        np.testing.assert_array_equal(sys_m.A, M @ G)
+        np.testing.assert_array_equal(
+            sys_m.B,
+            M @ ref_articulated_jacobian(R, t, skel.axes, skel.ancestry, pts))
+    # enough points that a last-bit difference in 1/z or x/z^2 shows
+    for _ in range(100):
+        pts = rng.uniform([-2, -2, 0.5], [2, 2, 8], (20, 3))
+        np.testing.assert_array_equal(stacked_projection_blocks(pts),
+                                      ref_stacked_projection_blocks(pts))
 
 
 def test_assemble_system_runs_forward_kinematics_once(skel40, skel40_pose,

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from sparsemotion import solvers
-from sparsemotion.camera import assemble_system
+from sparsemotion.camera import RankDeficientError, assemble_system, reduce_system
 from sparsemotion.experiments import (
     TrialConfig,
     gen_sparse_motion,
@@ -14,13 +14,10 @@ from sparsemotion.solvers import (
     DifferentialMotion,
     EnumerationBudgetError,
     NoFeasibleSupportError,
-    RankDeficientError,
     SolveOptions,
     SolverError,
     Support,
-    eliminate_rigid,
     extract_support,
-    recover_rigid,
     solve_l0_oracle,
     solve_l2,
     solve_rf,
@@ -61,7 +58,9 @@ class TestEliminateRigid:
     def test_projection_properties(self, skel40_system):
         rng = np.random.default_rng(0)
         y = rng.standard_normal(26)
-        Bt, yt, Q = eliminate_rigid(skel40_system.A, skel40_system.B, y)
+        red = reduce_system(skel40_system.A, skel40_system.B)
+        Q = red.Q
+        Bt, yt = red.project_out(skel40_system.B), red.project_out(y)
         # Q orthonormal basis of span(A)
         np.testing.assert_allclose(Q.T @ Q, np.eye(6), atol=1e-12)
         assert np.max(np.abs(Bt.T @ skel40_system.A)) < 1e-10
@@ -69,6 +68,11 @@ class TestEliminateRigid:
         # projecting twice changes nothing
         Bt2 = Bt - Q @ (Q.T @ Bt)
         np.testing.assert_allclose(Bt2, Bt, atol=1e-14)
+        # the kept singular triplets rebuild Btilde; the rest is below the cut
+        rebuilt = red.U @ (red.sv[:, None] * red.row_space.T)
+        np.testing.assert_allclose(rebuilt, Bt, atol=1e-14)
+        np.testing.assert_allclose(red.Vt @ red.Vt.T, np.eye(40), atol=1e-12)
+        assert np.max(np.abs(Bt @ red.null_space)) < 1e-10
 
     def test_feasibility_equivalence(self, skel40_system):
         """omega solves the reduced system iff some rho completes it."""
@@ -77,21 +81,56 @@ class TestEliminateRigid:
         omega[[4, 17]] = [2e-3, -1e-3]
         rho = rng.uniform(-1e-3, 1e-3, 6)
         y = skel40_system.A @ rho + skel40_system.B @ omega
-        Bt, yt, _ = eliminate_rigid(skel40_system.A, skel40_system.B, y)
+        red = reduce_system(skel40_system.A, skel40_system.B)
+        Bt, yt = red.project_out(skel40_system.B), red.project_out(y)
         assert np.linalg.norm(Bt @ omega - yt) < 1e-12
-        rec = recover_rigid(skel40_system.A, y, skel40_system.B, omega)
+        rhs = y - skel40_system.B @ omega
+        rec = red.rigid_rates(rhs)
         np.testing.assert_allclose(rec, rho, atol=1e-10)
+        # the SVD solve is the least-squares solution
+        ref, _, rank, _ = np.linalg.lstsq(skel40_system.A, rhs, rcond=None)
+        assert rank == 6
+        np.testing.assert_allclose(rec, ref, rtol=1e-12, atol=1e-15)
 
     def test_reduced_rank_bounded_by_rows_minus_six(self, skel40_system):
-        Bt, _, _ = eliminate_rigid(skel40_system.A, skel40_system.B,
-                                   np.zeros(26))
+        red = reduce_system(skel40_system.A, skel40_system.B)
+        Bt = red.project_out(skel40_system.B)
         assert np.linalg.matrix_rank(Bt, tol=1e-9) <= 20
+        assert red.sv.size == np.linalg.matrix_rank(Bt, tol=1e-9)
 
     def test_rank_deficient_rigid_block(self):
         A = np.zeros((8, 6))
         A[:, 0] = 1.0
         with pytest.raises(RankDeficientError):
-            eliminate_rigid(A, np.zeros((8, 4)), np.zeros(8))
+            reduce_system(A, np.zeros((8, 4)))
+
+    def test_assembly_keeps_the_reduction(self, skel40_system):
+        red = reduce_system(skel40_system.A, skel40_system.B)
+        kept = skel40_system.reduction
+        for name in ("Q", "rigid_sv", "rigid_vt", "U", "sv", "Vt"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(red, name))
+        assert skel40_system.conditioning == red.rigid_sv[-1]
+
+    def test_one_factorization_of_each_block(self, skel40, skel40_pose,
+                                             cam1145, monkeypatch):
+        """Assembly and both solvers take three factorizations in all: the
+        collinearity check's SVD, one of A and one of Btilde."""
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name,
+                                counting(name, getattr(np.linalg, name)))
+        sys_m = assemble_system(skel40, skel40_pose, cam1145)
+        y = sys_m.B[:, 7] * 1e-3
+        solve_rf(sys_m, y, TIGHT)
+        solve_l2(sys_m, y)
+        assert calls == ["svd"] * 3
 
 
 class TestSolveRF:
@@ -166,7 +205,8 @@ class TestSolveRF:
         motion, stats = solve_rf(sys_m, obs, opts)
         assert stats.termination == "converged"
         assert stats.converged
-        Bt, yt, _ = eliminate_rigid(sys_m.A, sys_m.B, obs.y)
+        red = sys_m.reduction
+        Bt, yt = red.project_out(sys_m.B), red.project_out(obs.y)
         assert np.linalg.norm(Bt @ motion.omega - yt) <= 1e-10
         assert np.max(np.abs(motion.omega)) <= opts.omega_max
 
@@ -217,10 +257,18 @@ class TestSolveL2:
         fit = skel40_system.A @ motion.rho + skel40_system.B @ motion.omega
         assert np.linalg.norm(fit - y) < 1e-10
         # min-l2 point: orthogonal to the reduced null space
-        Bt, _, _ = eliminate_rigid(skel40_system.A, skel40_system.B, y)
+        red = skel40_system.reduction
+        Bt, yt = red.project_out(skel40_system.B), red.project_out(y)
         _, _, Vt = np.linalg.svd(Bt)
         r = np.linalg.matrix_rank(Bt, tol=1e-9)
         assert np.max(np.abs(Vt[r:] @ motion.omega)) < 1e-10
+        # the pseudoinverse and least-squares references
+        ref = np.linalg.pinv(Bt, rcond=1e-10) @ yt
+        np.testing.assert_allclose(motion.omega, ref, rtol=1e-10, atol=1e-15)
+        rho, _, _, _ = np.linalg.lstsq(skel40_system.A,
+                                       y - skel40_system.B @ motion.omega,
+                                       rcond=None)
+        np.testing.assert_allclose(motion.rho, rho, rtol=1e-10, atol=1e-15)
 
     def test_l2_norm_never_above_rf(self, skel40_system):
         rng = np.random.default_rng(9)

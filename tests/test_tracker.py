@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sparsemotion.camera import AssemblyError
+from sparsemotion.camera import AssemblyError, CameraModel
 from sparsemotion.kinematics import Pose, clamp_angles, fk_arrays
 from sparsemotion.liegroup import RigidTransform
 from sparsemotion.solvers import SolveOptions
@@ -146,6 +147,28 @@ class TestStepFrame:
         assert new_state.needs_reinit
         # reference frame does not advance on a skipped frame
         assert new_state.last_frame is state.last_frame
+
+    def test_landmark_below_min_depth_skips_frame(self, skel40, cam1145,
+                                                  skel40_pose):
+        """Assembly drops a landmark the observation still has: the frame
+        is skipped, as for any other unassemblable frame."""
+        _, _, pts = fk_arrays(skel40, skel40_pose)
+        z = np.sort(pts[:, 2])
+        near = CameraModel(focal=cam1145.focal, min_depth=(z[0] + z[1]) / 2)
+        state = make_initial_state(skel40, skel40_pose, cam1145)
+        frame = render_frame(skel40, skel40_pose, cam1145, 0)
+        new_state, result = step_frame(state, frame, skel40, near, TIGHT)
+        assert result.skipped and new_state.needs_reinit
+
+    def test_wrong_angle_count_raises(self, skel40, cam1145, skel40_pose):
+        """A pose of the wrong dimension is a programming error, not a bad
+        frame: it propagates instead of being skipped."""
+        state = make_initial_state(skel40, skel40_pose, cam1145)
+        bad = replace(state, pose=Pose(skel40_pose.camera_to_root,
+                                       skel40_pose.theta[:39]))
+        frame = render_frame(skel40, skel40_pose, cam1145, 0)
+        with pytest.raises(ValueError):
+            step_frame(bad, frame, skel40, cam1145, TIGHT)
 
     def test_large_jump_raises_reinit_flag(self, skel40, cam1145,
                                            skel40_pose):
