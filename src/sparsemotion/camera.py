@@ -77,7 +77,6 @@ class RigidReduction:
     U: np.ndarray  # 2N' x r, left singular vectors of Btilde on its range
     sv: np.ndarray  # (r,) singular values of Btilde above the cut-off
     Vt: np.ndarray  # d x d right singular vectors of Btilde
-    rank_warning: bool  # a singular value of Btilde within 10x of the cut-off
 
     @property
     def row_space(self) -> np.ndarray:
@@ -86,8 +85,12 @@ class RigidReduction:
 
     @property
     def null_space(self) -> np.ndarray:
-        """d x (d - r) orthonormal basis of {w : B w in span(A)}."""
-        return self.Vt[self.sv.size :].T
+        """d x (d - r) orthonormal basis of {w : B w in span(A)}, C-contiguous.
+
+        A copy rather than a view of Vt: the certification LPs built from a
+        strided view differ in the last bits of their counterexamples.
+        """
+        return np.ascontiguousarray(self.Vt[self.sv.size :].T)
 
     def project_out(self, y) -> np.ndarray:
         """(I - QQ^T) y: the observation without its rigid component."""
@@ -107,7 +110,6 @@ class SystemMatrices:
     A: np.ndarray  # 2N' x 6, projected rigid Jacobian
     B: np.ndarray  # 2N' x d, projected articulated Jacobian
     n_visible: int
-    points: np.ndarray  # (N', 3) visible landmark positions
     visible_index: np.ndarray  # indices of visible landmarks
     reduction: RigidReduction  # reduce_system(A, B)
 
@@ -204,7 +206,6 @@ def assemble_system(
         A=A,
         B=B,
         n_visible=idx.size,
-        points=vpts,
         visible_index=idx,
         reduction=reduce_system(A, B),
     )
@@ -225,6 +226,5 @@ def reduce_system(A, B, rank_tol: float = RANK_TOL) -> RigidReduction:
     U, sv, Vt = np.linalg.svd(B - Q @ (Q.T @ B), full_matrices=True)
     cut = rank_tol * max(sv[0], 1.0)
     r = int(np.sum(sv > cut))
-    warning = bool(np.any((sv > 0.1 * cut) & (sv < 10.0 * cut)))
     U = np.ascontiguousarray(U[:, :r])  # a copy, so the full U is freed
-    return RigidReduction(Q, rigid_sv, rigid_vt, U, sv[:r], Vt, warning)
+    return RigidReduction(Q, rigid_sv, rigid_vt, U, sv[:r], Vt)

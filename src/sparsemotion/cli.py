@@ -20,12 +20,7 @@ import numpy as np
 from .camera import CameraModel, Observation, assemble_system
 from .experiments import run_sweep, sample_pose, write_results_csv, write_trials_jsonl
 from .kinematics import SkeletonError, load_skeleton
-from .pksp import (
-    BudgetExceededError,
-    ambiguity_nullspace,
-    check_pksp,
-    check_pksp_order,
-)
+from .pksp import BudgetExceededError, check_pksp, check_pksp_order
 from .solvers import SolveOptions, extract_support, solve_l0_oracle, solve_l2, solve_rf
 from .tracker import (
     SequenceError,
@@ -155,19 +150,16 @@ def cmd_pksp_check(args) -> int:
     pose = _load_pose(args.pose, skel.dof)
     if (args.support is None) == (args.order is None):
         raise InputError("specify exactly one of --support or --order")
-    sys_m = assemble_system(skel, pose, cam)
-    basis = ambiguity_nullspace(sys_m.A, sys_m.B)
+    Z = assemble_system(skel, pose, cam).reduction.null_space
     pose_hash = hashlib.sha256(_read(args.pose).encode()).hexdigest()[:16]
     cert = {"schema_version": SCHEMA_VERSION, "pose_hash": pose_hash, "mode": args.mode}
     try:
         if args.support is not None:
             F = tuple(int(t) for t in args.support.split(","))
-            verdict = check_pksp(basis, F, mode=args.mode, budget=args.budget)
+            verdict = check_pksp(Z, F, mode=args.mode, budget=args.budget)
             cert["support"] = sorted(F)
         else:
-            verdict, worst = check_pksp_order(
-                basis, args.order, mode=args.mode, budget=args.budget
-            )
+            verdict, worst = check_pksp_order(Z, args.order, mode=args.mode, budget=args.budget)
             cert["order"] = args.order
             cert["worst_support"] = list(worst.indices)
     except BudgetExceededError as e:

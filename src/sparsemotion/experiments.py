@@ -25,9 +25,7 @@ DEFAULT_EPSILON = 1e-4  # rad, support classification threshold
 class TrialConfig:
     support_size: int
     noise_std_px: float
-    focal_px: float = 1145.0
     trials: int = 1
-    rng_seed: int = 0
     magnitude_range: tuple[float, float] = (0.5 * _DEG, 5.0 * _DEG)  # rad
     rigid_scale: float = 1e-3
 
@@ -266,9 +264,7 @@ def run_sweep(
         cfg = TrialConfig(
             support_size=s,
             noise_std_px=delta,
-            focal_px=cam.focal,
             trials=trials,
-            rng_seed=seed,
             magnitude_range=magnitude_range,
             rigid_scale=rigid_scale,
         )

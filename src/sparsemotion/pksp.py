@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .camera import RANK_TOL, reduce_system
+from .camera import RANK_TOL, SystemMatrices, reduce_system
 from .solvers import Support
 
 
@@ -34,26 +34,10 @@ class InvalidCounterexampleError(ValueError):
 
 
 @dataclass(frozen=True)
-class AmbiguityBasis:
-    Z: np.ndarray  # d x k, orthonormal columns spanning ker(Pperp @ B)
-    rank_warning: bool = False  # singular values near the rank threshold
-
-    @property
-    def dim(self) -> int:
-        return self.Z.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.Z.shape[0]
-
-
-@dataclass(frozen=True)
 class PkspVerdict:
     holds: bool
     margin: float  # min over ambiguity directions of (||v_off||_1 - ||v_on||_1), l1-normalized
     counterexample: np.ndarray | None
-    mode: str  # "exact" | "randomized"
-    rank_warning: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,10 +49,12 @@ class AmbiguousObservation:
     z_off: np.ndarray  # rigid vector paired with x_off
 
 
-def ambiguity_nullspace(A, B, rank_tol: float = RANK_TOL) -> AmbiguityBasis:
-    """Orthonormal basis of {w : B w in span(A)} = ker((I - QQ^T) B)."""
-    red = reduce_system(A, B, rank_tol)
-    return AmbiguityBasis(Z=np.ascontiguousarray(red.null_space), rank_warning=red.rank_warning)
+def ambiguity_nullspace(A, B, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """d x k orthonormal basis of {w : B w in span(A)} = ker((I - QQ^T) B).
+
+    An assembled system already holds it as system.reduction.null_space.
+    """
+    return reduce_system(A, B, rank_tol).null_space
 
 
 def _normalized_gap(v, on_mask) -> float:
@@ -127,7 +113,7 @@ def _sign_pattern_lp(Z, on_idx, off_idx, signs):
 
 
 def check_pksp(
-    basis: AmbiguityBasis,
+    Z: np.ndarray,
     F: Support | tuple,
     mode: str = "exact",
     budget: int = 4096,
@@ -135,32 +121,34 @@ def check_pksp(
 ) -> PkspVerdict:
     """Decide the exact-recovery property relative to support F.
 
-    Exact mode enumerates sign patterns on F (requires 2^|F| <= budget,
-    capped at 4096) and is a proof either way.  Randomized mode samples the
-    ambiguity subspace with sign-flip local ascent; it can certify failure
-    (counterexample) but "holds" only means "not falsified".
+    Z is a d x k orthonormal basis of the ambiguity null space
+    (system.reduction.null_space or ambiguity_nullspace).  Exact mode
+    enumerates the 2^(|F|-1) sign patterns on F, for |F| <= 12 whatever the
+    budget, and is a proof either way.  Randomized mode draws budget samples
+    from the ambiguity subspace and refines the best by sign-flip local
+    ascent; it can certify failure (counterexample) but "holds" only means
+    "not falsified".
     """
+    d, k = Z.shape
     on_idx = np.asarray(
         F.indices if isinstance(F, Support) else sorted(set(int(i) for i in F)),
         dtype=int,
     )
-    d = basis.d
     if on_idx.size and (on_idx.min() < 0 or on_idx.max() >= d):
         raise ValueError("support indices out of range")
-    if basis.dim == 0:
-        return PkspVerdict(True, 1.0, None, mode, basis.rank_warning)
+    if k == 0:
+        return PkspVerdict(True, 1.0, None)
     on_mask = np.zeros(d, dtype=bool)
     on_mask[on_idx] = True
     off_idx = np.flatnonzero(~on_mask)
-    Z = basis.Z
 
     if mode == "exact":
         f = on_idx.size
-        if f > 12 or 2**f > max(budget, 4096):
-            raise BudgetExceededError(f"2^{f} sign patterns exceed the exact budget")
+        if f > 12:
+            raise BudgetExceededError(f"2^{f} sign patterns exceed the exact cap of 2^12")
         if f == 0:
             # F empty: gap = -1 for every nonzero ambiguity vector
-            return PkspVerdict(True, 1.0, None, mode, basis.rank_warning)
+            return PkspVerdict(True, 1.0, None)
         worst = -np.inf
         worst_v = None
         # v -> -v symmetry: fix the first sign to +1
@@ -175,20 +163,17 @@ def check_pksp(
         if worst == -np.inf:
             # subspace meets no sign pattern nontrivially (Z rows on F all zero
             # and normalization infeasible); treat as vacuous
-            return PkspVerdict(True, 1.0, None, mode, basis.rank_warning)
+            return PkspVerdict(True, 1.0, None)
         holds = worst < 0.0
-        margin = -worst
-        counter = None
-        if not holds:
-            counter = worst_v / np.sum(np.abs(worst_v))
-        return PkspVerdict(holds, float(margin), counter, mode, basis.rank_warning)
+        counter = None if holds else worst_v / np.sum(np.abs(worst_v))
+        return PkspVerdict(holds, float(-worst), counter)
 
     if mode == "randomized":
         rng = np.random.default_rng(0) if rng is None else rng
         best = -np.inf
         best_v = None
         for _ in range(max(budget, 1)):
-            v = Z @ rng.standard_normal(basis.dim)
+            v = Z @ rng.standard_normal(k)
             nrm = np.sum(np.abs(v))
             if nrm == 0.0:
                 continue
@@ -198,9 +183,9 @@ def check_pksp(
                 best, best_v = g, v
         if best_v is not None:
             best_v, best = _local_ascent(Z, best_v, on_mask)
-        holds = best < 0.0
+        holds = bool(best < 0.0)  # a numpy bool would not serialize to JSON
         counter = None if holds else best_v
-        return PkspVerdict(holds, float(-best), counter, mode, basis.rank_warning)
+        return PkspVerdict(holds, float(-best), counter)
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -236,7 +221,7 @@ def _local_ascent(Z, v, on_mask, steps: int = 200, step0: float = 0.5):
 
 
 def check_pksp_order(
-    basis: AmbiguityBasis,
+    Z: np.ndarray,
     s: int,
     mode: str = "exact",
     budget: int = 2_000_000,
@@ -244,39 +229,24 @@ def check_pksp_order(
 ):
     """Decide the property for every support of size s.
 
-    Returns (verdict, worst_support).  Exact mode enumerates all supports;
-    for a one-dimensional ambiguity space the per-support gap is computed
-    directly from the single extreme ray (the worst support is the s
-    largest-magnitude coordinates), skipping the LPs.
+    Z is the d x k ambiguity basis, as for check_pksp.  Returns (verdict,
+    worst_support): every support of size s is checked with check_pksp and
+    the one with the smallest margin (the first in lexicographic order on
+    ties) is reported.  Exact mode refuses when comb(d, s) * 2^s exceeds
+    budget.
     """
-    d = basis.d
-    if s == 0 or basis.dim == 0:
-        return (
-            PkspVerdict(True, 1.0, None, mode, basis.rank_warning),
-            Support((), epsilon=1.0),
-        )
+    d, k = Z.shape
+    if s == 0 or k == 0:
+        return PkspVerdict(True, 1.0, None), Support((), epsilon=1.0)
     if mode == "exact" and math.comb(d, s) * 2**s > budget:
         raise BudgetExceededError(
             f"comb({d},{s}) * 2^{s} support/sign enumerations exceed budget {budget}"
         )
-
-    if mode == "exact" and basis.dim == 1:
-        v = basis.Z[:, 0]
-        a = np.abs(v)
-        order = np.argsort(-a, kind="stable")
-        worst_sup = tuple(sorted(int(i) for i in order[:s]))
-        tot = a.sum()
-        gap = (2.0 * a[list(worst_sup)].sum() - tot) / tot
-        holds = gap < 0.0
-        counter = None if holds else v / tot
-        verdict = PkspVerdict(holds, float(-gap), counter, mode, basis.rank_warning)
-        return verdict, Support(worst_sup, epsilon=1.0)
-
     worst_margin = np.inf
     worst_sup: tuple = ()
     worst_verdict = None
     for comb in itertools.combinations(range(d), s):
-        verdict = check_pksp(basis, comb, mode=mode, budget=budget, rng=rng)
+        verdict = check_pksp(Z, comb, mode=mode, budget=budget, rng=rng)
         if verdict.margin < worst_margin:
             worst_margin = verdict.margin
             worst_sup = comb
@@ -286,18 +256,17 @@ def check_pksp_order(
 
 
 def build_ambiguous_observation(
-    basis: AmbiguityBasis, counterexample, F: Support | tuple, A, B, tol: float = 1e-9
+    sys: SystemMatrices, counterexample, F: Support | tuple, tol: float = 1e-9
 ) -> AmbiguousObservation:
     """Instantiate the failure construction for a non-certified support.
 
     Splits the counterexample v into x = v_F and xbar = -v_Fbar and finds
-    rigid vectors z, zbar with A zbar + B xbar = A z + B x; the shared
-    observation y demonstrates that l1 minimization prefers the off-support
-    decomposition whenever ||x||_1 >= ||xbar||_1.
+    the rigid vector zbar with A zbar + B xbar = B x (z = 0), read from the
+    system's reduction; the shared observation y demonstrates that l1
+    minimization prefers the off-support decomposition whenever
+    ||x||_1 >= ||xbar||_1.
     """
     v = np.asarray(counterexample, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     on_idx = np.asarray(
         F.indices if isinstance(F, Support) else sorted(set(int(i) for i in F)),
         dtype=int,
@@ -305,7 +274,7 @@ def build_ambiguous_observation(
     nrm = np.sum(np.abs(v))
     if nrm == 0.0:
         raise InvalidCounterexampleError("counterexample is zero")
-    Z = basis.Z
+    Z = sys.reduction.null_space
     resid = v - Z @ (Z.T @ v)
     if np.linalg.norm(resid) > tol * max(np.linalg.norm(v), 1.0) * 1e3:
         raise InvalidCounterexampleError("vector is not in the ambiguity subspace")
@@ -315,12 +284,11 @@ def build_ambiguous_observation(
         raise InvalidCounterexampleError("vector does not violate the support inequality")
     x_on = np.where(on_mask, v, 0.0)
     x_off = np.where(on_mask, 0.0, -v)
-    # B v lies in span(A) by membership; solve A r = B v
-    r, _, _, _ = np.linalg.lstsq(A, B @ v, rcond=None)
+    # B v lies in span(A) by membership: A zbar = B v
     z_on = np.zeros(6)
-    z_off = r
-    y = B @ x_on
-    gap = np.linalg.norm(A @ z_off + B @ x_off - y)
+    z_off = sys.reduction.rigid_rates(sys.B @ v)
+    y = sys.B @ x_on
+    gap = np.linalg.norm(sys.A @ z_off + sys.B @ x_off - y)
     if gap > tol * max(np.linalg.norm(y), 1.0) * 1e3:
         raise InvalidCounterexampleError(
             f"decomposition mismatch {gap:.3g}; vector may not be ambiguous"

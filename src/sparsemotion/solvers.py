@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .camera import Observation, SystemMatrices
+from .camera import AssemblyError, Observation, SystemMatrices
 
 _DEG5 = math.radians(5.0)
 
@@ -101,6 +101,18 @@ def extract_support(omega, epsilon: float) -> Support:
     return Support(tuple(np.flatnonzero(np.abs(omega) > epsilon)), epsilon)
 
 
+def _observation_vector(sys: SystemMatrices, y) -> np.ndarray:
+    """The stacked observation, checked to have one entry per system row."""
+    yv = y.y if isinstance(y, Observation) else np.asarray(y, dtype=float)
+    if yv.shape != (sys.A.shape[0],):
+        raise AssemblyError(
+            f"observation has {yv.size} entries but the assembled system has "
+            f"{sys.A.shape[0]} rows (assembly drops landmarks below the camera's "
+            "minimum depth)"
+        )
+    return yv
+
+
 def _basis_pursuit_lp(Vr, b, upper, max_iter):
     """min 1'(p + n) s.t. Vr'(p - n) = b, 0 <= p, n <= upper (None: no bound).
 
@@ -149,7 +161,7 @@ def solve_rf(sys: SystemMatrices, y, opts: SolveOptions = SolveOptions()):
     returned; at the iteration limit, the clipped min-norm point.  Neither
     counts as converged.  Returns (DifferentialMotion, SolveStats).
     """
-    yv = y.y if isinstance(y, Observation) else np.asarray(y, dtype=float)
+    yv = _observation_vector(sys, y)
     Vr, x0 = sys.reduction.row_space, sys.reduction.min_norm(yv)
     scale = float(np.max(np.abs(x0), initial=0.0)) or 1.0
     b = Vr.T @ x0 / scale
@@ -182,7 +194,7 @@ def solve_rf(sys: SystemMatrices, y, opts: SolveOptions = SolveOptions()):
 
 def solve_l2(sys: SystemMatrices, y) -> DifferentialMotion:
     """Minimum-l2-norm omega satisfying the equality constraint (closed form)."""
-    yv = y.y if isinstance(y, Observation) else np.asarray(y, dtype=float)
+    yv = _observation_vector(sys, y)
     omega = sys.reduction.min_norm(yv)
     return DifferentialMotion(sys.reduction.rigid_rates(yv - sys.B @ omega), omega)
 
@@ -194,7 +206,7 @@ def solve_l0_oracle(sys: SystemMatrices, y, s_max: int, feas_tol: float = 1e-8):
     accepts the first one whose least-squares residual over (rho, omega_S)
     is within feas_tol * ||y||.  Guarded to desk scale: s_max <= 4 or d <= 16.
     """
-    yv = y.y if isinstance(y, Observation) else np.asarray(y, dtype=float)
+    yv = _observation_vector(sys, y)
     d = sys.B.shape[1]
     if s_max > 4 and d > 16:
         raise EnumerationBudgetError(

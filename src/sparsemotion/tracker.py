@@ -29,7 +29,6 @@ class LandmarkFrame:
     frame_index: int
     uv: np.ndarray  # (N, 2) pixels
     visible: np.ndarray  # (N,) flags
-    timestamp: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "uv", np.asarray(self.uv, dtype=float))
@@ -48,7 +47,6 @@ class TrackerState:
     pose: Pose
     last_frame: LandmarkFrame
     steps: int = 0
-    cumulative_reproj_err: float = 0.0
     needs_reinit: bool = False
 
 
@@ -128,8 +126,6 @@ def step_frame(
     try:
         obs = differential_observation(state.last_frame, frame, cam)
         sys = assemble_system(skel, state.pose, cam, obs.visible)
-        if sys.n_visible < np.count_nonzero(obs.visible):
-            raise AssemblyError("an observed landmark is below the camera's minimum depth")
         motion, stats = solve_rf(sys, obs, opts.solve)
     except (AssemblyError, SequenceError, RankDeficientError):
         result = FrameResult(
@@ -169,7 +165,6 @@ def step_frame(
         pose=pose,
         last_frame=frame,
         steps=steps,
-        cumulative_reproj_err=state.cumulative_reproj_err + err,
         needs_reinit=reinit,
     )
     return new_state, result

@@ -29,11 +29,7 @@ from sparsemotion.kinematics import (
     fk_arrays,
     rigid_jacobian,
 )
-from sparsemotion.pksp import (
-    ambiguity_nullspace,
-    build_ambiguous_observation,
-    check_pksp,
-)
+from sparsemotion.pksp import build_ambiguous_observation, check_pksp
 from sparsemotion.solvers import (
     SolveOptions,
     extract_support,
@@ -134,7 +130,7 @@ def test_criterion_03_exact_recovery_on_certified_supports(skel40, cam1145):
     rng = np.random.default_rng(123)
     poses = [sample_pose(skel40, rng) for _ in range(20)]
     systems = [assemble_system(skel40, p, cam1145) for p in poses]
-    bases = [ambiguity_nullspace(s.A, s.B) for s in systems]
+    bases = [s.reduction.null_space for s in systems]
     n_certified = 0
     n_exact = 0
     worst = 0.0
@@ -167,7 +163,7 @@ def test_criterion_03_exact_recovery_on_certified_supports(skel40, cam1145):
 
 def test_criterion_04_ambiguous_observations_beat_ground_truth(toy12,
                                                                toy12_system):
-    basis = ambiguity_nullspace(toy12_system.A, toy12_system.B)
+    basis = toy12_system.reduction.null_space
     import itertools
     failing = []
     for size in (1, 2):
@@ -178,8 +174,8 @@ def test_criterion_04_ambiguous_observations_beat_ground_truth(toy12,
     n_beaten = 0
     worst_margin = np.inf
     for F, verdict in failing:
-        obs = build_ambiguous_observation(basis, verdict.counterexample, F,
-                                          toy12_system.A, toy12_system.B)
+        obs = build_ambiguous_observation(toy12_system,
+                                          verdict.counterexample, F)
         motion, _ = solve_rf(toy12_system, obs.y, TIGHT)
         margin = float(np.sum(np.abs(obs.x_on)) - np.sum(np.abs(motion.omega)))
         worst_margin = min(worst_margin, margin)
@@ -193,7 +189,7 @@ def test_criterion_04_ambiguous_observations_beat_ground_truth(toy12,
 
 def test_criterion_05_l0_oracle_matches_l1_on_certified_toy(toy12,
                                                             toy12_system):
-    basis = ambiguity_nullspace(toy12_system.A, toy12_system.B)
+    basis = toy12_system.reduction.null_space
     certified = [F for F in [(1,), (2,), (1, 2)] if check_pksp(basis, F).holds]
     assert certified == [(1,), (2,), (1, 2)]
     rng = np.random.default_rng(5)
@@ -248,7 +244,7 @@ def test_criterion_08_closed_loop_tracking(skel40, cam1145):
     rng = np.random.default_rng(21)
     pose0 = sample_pose(skel40, rng)
     sys0 = assemble_system(skel40, pose0, cam1145)
-    basis = ambiguity_nullspace(sys0.A, sys0.B)
+    basis = sys0.reduction.null_space
     pairs = []
     while len(pairs) < 15:
         F = tuple(sorted(rng.choice(np.arange(3, 40), size=2,

@@ -7,7 +7,7 @@ import pytest
 from sparsemotion.camera import CameraModel, assemble_system
 from sparsemotion.cli import run
 from sparsemotion.experiments import sample_pose
-from sparsemotion.kinematics import Pose, default_skeleton
+from sparsemotion.kinematics import Pose, default_skeleton, fk_arrays
 from sparsemotion.tracker import (
     TrackOptions,
     load_landmark_csv,
@@ -93,6 +93,23 @@ class TestSolveFrame:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("solver", ["rf", "l2"])
+    def test_landmark_below_min_depth(self, paths, tmp_path, capsys, solver):
+        """Assembly drops the nearest landmark; the 26-entry observation is
+        refused with both counts named instead of a numpy shape error."""
+        _, _, pts = fk_arrays(paths["skel_obj"], paths["pose_obj"])
+        z = np.sort(pts[:, 2])
+        near = tmp_path / "near_camera.json"
+        near.write_text(json.dumps({"focal_px": 1145.0,
+                                    "min_depth": (z[0] + z[1]) / 2}))
+        code = run(["solve-frame", "--skeleton", paths["skel"],
+                    "--camera", str(near), "--pose", paths["pose"],
+                    "--observation", paths["obs"], "--solver", solver])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "observation has 26 entries" in err
+        assert "24 rows" in err
+
     def test_missing_file(self, paths, capsys):
         code = run(["solve-frame", *base_args(paths),
                     "--observation", "/nonexistent.json"])
@@ -129,6 +146,14 @@ class TestPkspCheck:
         assert not out["holds"]
         assert "counterexample" in out
 
+    def test_randomized_mode_writes_json(self, paths, tmp_path, capsys):
+        code = run(["pksp-check", *self.toy_args(paths, tmp_path),
+                    "--support", "1,2", "--mode", "randomized",
+                    "--budget", "200"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["mode"] == "randomized" and out["holds"] is True
+
     def test_order_mode(self, paths, tmp_path, capsys):
         code = run(["pksp-check", *self.toy_args(paths, tmp_path),
                     "--order", "1"])
@@ -143,6 +168,24 @@ class TestPkspCheck:
         err = capsys.readouterr().err
         assert code == 2
         assert "budget" in err.lower()
+
+    def test_one_factorization_per_run(self, paths, tmp_path, capsys,
+                                       monkeypatch):
+        """Certification reads the null space that assembly factored: the
+        collinearity check, A and Btilde are the only SVDs of a run."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        code = run(["pksp-check", *self.toy_args(paths, tmp_path),
+                    "--support", "1,2"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 3
 
     def test_support_and_order_mutually_exclusive(self, paths, capsys):
         code = run(["pksp-check", *base_args(paths)])

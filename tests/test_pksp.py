@@ -1,8 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sparsemotion.pksp import (
-    AmbiguityBasis,
     BudgetExceededError,
     InvalidCounterexampleError,
     ambiguity_nullspace,
@@ -16,33 +17,56 @@ from sparsemotion.solvers import Support
 
 def line_basis(v):
     v = np.asarray(v, dtype=float)
-    return AmbiguityBasis(Z=(v / np.linalg.norm(v))[:, None])
+    return (v / np.linalg.norm(v))[:, None]
 
 
 class TestAmbiguityNullspace:
     def test_orthonormal_and_annihilating(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
-        Z = basis.Z
-        np.testing.assert_allclose(Z.T @ Z, np.eye(basis.dim), atol=1e-12)
+        Z = ambiguity_nullspace(skel40_system.A, skel40_system.B)
+        np.testing.assert_allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-12)
         Bt = skel40_system.reduction.project_out(skel40_system.B)
         assert np.max(np.abs(Bt @ Z)) < 1e-10
 
     def test_dimension_counts_rigid_overlap(self, skel40_system):
         """d - rank(reduced system): 40 - 20 here, the structural floor."""
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
-        assert basis.dim == 20
+        Z = ambiguity_nullspace(skel40_system.A, skel40_system.B)
+        assert Z.shape == (40, 20)
 
     def test_root_rotations_always_ambiguous(self, skel40, skel40_system):
         """A root-joint rotation is reproducible by a rigid rotation, so its
         coordinate axis lies inside the ambiguity subspace at every pose."""
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
+        Z = ambiguity_nullspace(skel40_system.A, skel40_system.B)
         for j in (0, 1, 2):
             # the three root rotations sit at the body origin: zero offsets
             np.testing.assert_array_equal(skel40.joints[j].offset, 0)
             e = np.zeros(40)
             e[j] = 1.0
-            resid = e - basis.Z @ (basis.Z.T @ e)
+            resid = e - Z @ (Z.T @ e)
             assert np.linalg.norm(resid) < 1e-10
+
+    def test_system_null_space_gives_identical_verdicts(self, toy12_system,
+                                                         skel40_system):
+        """Certifying on the assembled system's own null space decides every
+        support exactly as certifying on a fresh factorization of A and B:
+        same verdict, margin and counterexample bits."""
+        rng = np.random.default_rng(3)
+        cases = [(toy12_system, F) for s in (1, 2)
+                 for F in itertools.combinations(range(12), s)]
+        cases += [(skel40_system, tuple(rng.choice(40, size=s, replace=False)))
+                  for s in (1, 2, 3, 4) for _ in range(3)]
+        n_failing = 0
+        for sys_m, F in cases:
+            mine = check_pksp(sys_m.reduction.null_space, F)
+            fresh = check_pksp(ambiguity_nullspace(sys_m.A, sys_m.B), F)
+            assert mine.holds == fresh.holds
+            assert mine.margin == fresh.margin
+            if fresh.counterexample is None:
+                assert mine.counterexample is None
+            else:
+                n_failing += 1
+                np.testing.assert_array_equal(mine.counterexample,
+                                              fresh.counterexample)
+        assert 0 < n_failing < len(cases)
 
     def test_rank_deficient_rigid_block(self):
         A = np.outer(np.arange(8.0), np.ones(6))
@@ -85,7 +109,7 @@ class TestCheckPkspExact:
         not just the generators."""
         Z = np.array([[1.0, 0], [0, 1.0], [0.5, 0.5], [-0.5, 0.5]])
         Z, _ = np.linalg.qr(Z)
-        verdict = check_pksp(AmbiguityBasis(Z=Z), (0, 1))
+        verdict = check_pksp(Z, (0, 1))
         # direction e0 + e1 in coords gives |v| = (1,1,1,0)-ish: fails
         assert not verdict.holds
 
@@ -94,39 +118,40 @@ class TestCheckPkspExact:
         assert verdict.holds and verdict.margin == 1.0
 
     def test_empty_ambiguity_space_always_holds(self):
-        basis = AmbiguityBasis(Z=np.zeros((10, 0)))
-        assert check_pksp(basis, (0, 3, 7)).holds
+        assert check_pksp(np.zeros((10, 0)), (0, 3, 7)).holds
 
     def test_out_of_range_support(self):
         with pytest.raises(ValueError, match="out of range"):
             check_pksp(line_basis([1, 1, 1]), (5,))
 
     def test_sign_pattern_budget(self):
-        basis = AmbiguityBasis(Z=np.eye(20)[:, :2])
+        Z = np.eye(20)[:, :2]
         with pytest.raises(BudgetExceededError):
-            check_pksp(basis, tuple(range(13)))
+            check_pksp(Z, tuple(range(13)))
+        with pytest.raises(BudgetExceededError):  # the cap is not a budget
+            check_pksp(Z, tuple(range(13)), budget=2**20)
 
     def test_root_singleton_never_certified(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
-        verdict = check_pksp(basis, (0,))
+        Z = skel40_system.reduction.null_space
+        verdict = check_pksp(Z, (0,))
         assert not verdict.holds
 
     def test_toy_certified_supports(self, toy12_system):
-        basis = ambiguity_nullspace(toy12_system.A, toy12_system.B)
+        Z = toy12_system.reduction.null_space
         for F in [(1,), (2,), (1, 2)]:
-            verdict = check_pksp(basis, F)
+            verdict = check_pksp(Z, F)
             assert verdict.holds and verdict.margin > 0.0
 
     def test_accepts_support_objects(self, toy12_system):
-        basis = ambiguity_nullspace(toy12_system.A, toy12_system.B)
-        assert check_pksp(basis, Support((1,), epsilon=1e-4)).holds
+        Z = toy12_system.reduction.null_space
+        assert check_pksp(Z, Support((1,), epsilon=1e-4)).holds
 
 
 class TestCheckPkspRandomized:
     def test_falsifies_clear_failures(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
+        Z = skel40_system.reduction.null_space
         rng = np.random.default_rng(0)
-        verdict = check_pksp(basis, (0, 1, 2), mode="randomized",
+        verdict = check_pksp(Z, (0, 1, 2), mode="randomized",
                              budget=500, rng=rng)
         assert not verdict.holds
         v = verdict.counterexample
@@ -134,9 +159,9 @@ class TestCheckPkspRandomized:
         assert a[[0, 1, 2]].sum() >= a.sum() - a[[0, 1, 2]].sum()
 
     def test_agrees_with_exact_on_held_supports(self, toy12_system):
-        basis = ambiguity_nullspace(toy12_system.A, toy12_system.B)
+        Z = toy12_system.reduction.null_space
         rng = np.random.default_rng(1)
-        verdict = check_pksp(basis, (1, 2), mode="randomized", budget=500,
+        verdict = check_pksp(Z, (1, 2), mode="randomized", budget=500,
                              rng=rng)
         assert verdict.holds  # "not falsified", matching the exact proof
 
@@ -147,19 +172,19 @@ class TestCheckPkspRandomized:
 
 class TestCheckPkspOrder:
     def test_order_one_fails_on_full_skeleton(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
-        verdict, worst = check_pksp_order(basis, 1, budget=200)
+        Z = skel40_system.reduction.null_space
+        verdict, worst = check_pksp_order(Z, 1, budget=200)
         assert not verdict.holds
         assert len(worst) == 1
 
-    def test_one_dim_fast_path_matches_direct_gap(self):
+    def test_line_basis_matches_direct_gap(self):
         v = np.array([3.0, 1, 1, 1, 1, 1])
         verdict, worst = check_pksp_order(line_basis(v), 1)
         assert worst.indices == (0,)
         assert verdict.holds
         assert verdict.margin == pytest.approx(0.25, abs=1e-12)
 
-    def test_one_dim_fast_path_failure(self):
+    def test_line_basis_worst_pair_fails(self):
         verdict, worst = check_pksp_order(line_basis([6.0, 1, 1, 1, 1]), 2)
         assert worst.indices == (0, 1)
         assert not verdict.holds
@@ -169,19 +194,19 @@ class TestCheckPkspOrder:
         assert verdict.holds and worst.indices == ()
 
     def test_enumeration_budget(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
+        Z = skel40_system.reduction.null_space
         with pytest.raises(BudgetExceededError):
-            check_pksp_order(basis, 9, budget=1000)
+            check_pksp_order(Z, 9, budget=1000)
 
 
 class TestBuildAmbiguousObservation:
     def test_failure_instantiation_on_full_skeleton(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
+        Z = skel40_system.reduction.null_space
         F = (0, 1, 2)
-        verdict = check_pksp(basis, F)
+        verdict = check_pksp(Z, F)
         assert not verdict.holds
-        obs = build_ambiguous_observation(basis, verdict.counterexample, F,
-                                          skel40_system.A, skel40_system.B)
+        obs = build_ambiguous_observation(skel40_system,
+                                          verdict.counterexample, F)
         # two decompositions of one observation
         y_on = skel40_system.A @ obs.z_on + skel40_system.B @ obs.x_on
         y_off = skel40_system.A @ obs.z_off + skel40_system.B @ obs.x_off
@@ -196,24 +221,19 @@ class TestBuildAmbiguousObservation:
         assert np.sum(np.abs(obs.x_off)) <= np.sum(np.abs(obs.x_on)) + 1e-12
 
     def test_rejects_zero_vector(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
         with pytest.raises(InvalidCounterexampleError, match="zero"):
-            build_ambiguous_observation(basis, np.zeros(40), (0,),
-                                        skel40_system.A, skel40_system.B)
+            build_ambiguous_observation(skel40_system, np.zeros(40), (0,))
 
     def test_rejects_vector_outside_subspace(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
         v = np.zeros(40)
         v[5] = 1.0  # a knee rate is observable, not ambiguous
         with pytest.raises(InvalidCounterexampleError):
-            build_ambiguous_observation(basis, v, (5,), skel40_system.A,
-                                        skel40_system.B)
+            build_ambiguous_observation(skel40_system, v, (5,))
 
     def test_rejects_non_violating_vector(self, skel40_system):
-        basis = ambiguity_nullspace(skel40_system.A, skel40_system.B)
-        v = basis.Z @ np.ones(basis.dim)
+        Z = skel40_system.reduction.null_space
+        v = Z @ np.ones(Z.shape[1])
         a = np.abs(v)
         F = (int(np.argmin(a + (a == 0) * 1e9)),)  # lightest nonzero entry
         with pytest.raises(InvalidCounterexampleError):
-            build_ambiguous_observation(basis, v, F, skel40_system.A,
-                                        skel40_system.B)
+            build_ambiguous_observation(skel40_system, v, F)
