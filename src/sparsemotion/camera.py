@@ -54,7 +54,6 @@ class CameraModel:
 class Observation:
     y: np.ndarray  # stacked (udot, vdot) per visible landmark, normalized
     visible: np.ndarray  # N boolean flags
-    frame_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
@@ -109,13 +108,8 @@ class RigidReduction:
 class SystemMatrices:
     A: np.ndarray  # 2N' x 6, projected rigid Jacobian
     B: np.ndarray  # 2N' x d, projected articulated Jacobian
-    n_visible: int
     visible_index: np.ndarray  # indices of visible landmarks
     reduction: RigidReduction  # reduce_system(A, B)
-
-    @property
-    def conditioning(self) -> float:  # smallest singular value of A
-        return float(self.reduction.rigid_sv[-1])
 
 
 def project(p, cam: CameraModel) -> np.ndarray:
@@ -205,7 +199,6 @@ def assemble_system(
     return SystemMatrices(
         A=A,
         B=B,
-        n_visible=idx.size,
         visible_index=idx,
         reduction=reduce_system(A, B),
     )

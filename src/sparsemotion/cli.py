@@ -4,6 +4,10 @@ validate-skeleton.
 Exit codes: 0 ok / 1 input error / 2 resource-or-convergence / 3 property
 fails, so scripts can branch on certification verdicts.  Angles are degrees
 at the CLI boundary, radians internally.
+
+pksp-check proves every verdict by exact sign-pattern LPs.  A --support may
+hold at most 12 distinct DoFs, and --budget caps the comb(d, s) * 2^s
+enumerations of --order s; past either limit it exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .camera import CameraModel, Observation, assemble_system
 from .experiments import run_sweep, sample_pose, write_results_csv, write_trials_jsonl
 from .kinematics import SkeletonError, load_skeleton
 from .pksp import BudgetExceededError, check_pksp, check_pksp_order
-from .solvers import SolveOptions, extract_support, solve_l0_oracle, solve_l2, solve_rf
+from .solvers import SolveOptions, Support, extract_support, solve_l0_oracle, solve_l2, solve_rf
 from .tracker import (
     SequenceError,
     TrackOptions,
@@ -152,14 +156,14 @@ def cmd_pksp_check(args) -> int:
         raise InputError("specify exactly one of --support or --order")
     Z = assemble_system(skel, pose, cam).reduction.null_space
     pose_hash = hashlib.sha256(_read(args.pose).encode()).hexdigest()[:16]
-    cert = {"schema_version": SCHEMA_VERSION, "pose_hash": pose_hash, "mode": args.mode}
+    cert = {"schema_version": SCHEMA_VERSION, "pose_hash": pose_hash}
     try:
         if args.support is not None:
-            F = tuple(int(t) for t in args.support.split(","))
-            verdict = check_pksp(Z, F, mode=args.mode, budget=args.budget)
-            cert["support"] = sorted(F)
+            F = Support(int(t) for t in args.support.split(","))
+            verdict = check_pksp(Z, F)
+            cert["support"] = list(F.indices)
         else:
-            verdict, worst = check_pksp_order(Z, args.order, mode=args.mode, budget=args.budget)
+            verdict, worst = check_pksp_order(Z, args.order, args.budget)
             cert["order"] = args.order
             cert["worst_support"] = list(worst.indices)
     except BudgetExceededError as e:
@@ -285,8 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--pose", required=True)
     pc.add_argument("--support", help="comma-separated DoF indices")
     pc.add_argument("--order", type=int)
-    pc.add_argument("--mode", choices=("exact", "randomized"), default="exact")
-    pc.add_argument("--budget", type=int, default=2_000_000)
+    pc.add_argument(
+        "--budget",
+        type=int,
+        default=2_000_000,
+        help="--order only: refuse when comb(d, order) * 2^order exceeds this",
+    )
     pc.set_defaults(func=cmd_pksp_check)
 
     sb = sub.add_parser("synth-bench", help="synthetic sweep over support size and noise")

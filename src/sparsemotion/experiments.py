@@ -149,30 +149,13 @@ def support_metrics(omega_hat, omega_true, epsilon: float = DEFAULT_EPSILON):
     return float(accuracy), float(specificity), float(sensitivity)
 
 
-def _joint_positions(skel: Skeleton, pose: Pose) -> np.ndarray:
-    _, t, _ = fk_arrays(skel, pose)
-    return t
-
-
 def mpjpe(skel: Skeleton, pose_hat: Pose, pose_true: Pose) -> float:
     """Mean per-joint position error after aligning the roots."""
-    ph = _joint_positions(skel, pose_hat)
-    pt = _joint_positions(skel, pose_true)
+    ph = fk_arrays(skel, pose_hat)[1]
+    pt = fk_arrays(skel, pose_true)[1]
     ph = ph - ph[0]
     pt = pt - pt[0]
     return float(np.mean(np.linalg.norm(ph - pt, axis=1)))
-
-
-def procrustes_error(skel: Skeleton, pose_hat: Pose, pose_true: Pose) -> float:
-    """Mean per-joint error after optimal rigid (rotation + translation) alignment."""
-    ph = _joint_positions(skel, pose_hat)
-    pt = _joint_positions(skel, pose_true)
-    ph = ph - ph.mean(axis=0)
-    pt = pt - pt.mean(axis=0)
-    U, _, Vt = np.linalg.svd(ph.T @ pt)
-    S = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
-    R = (U @ S @ Vt).T
-    return float(np.mean(np.linalg.norm(ph @ R.T - pt, axis=1)))
 
 
 def run_trial(

@@ -78,12 +78,6 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
 
-    def within_bounds(self, skel: Skeleton, tol: float = 1e-12) -> bool:
-        return bool(
-            np.all(self.theta >= skel.bounds_min - tol)
-            and np.all(self.theta <= skel.bounds_max + tol)
-        )
-
 
 def _freeze_arrays(name, joints, landmarks):
     d = len(joints)

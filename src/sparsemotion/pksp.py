@@ -3,9 +3,10 @@
 The ambiguity null space is the set of articulated rate vectors whose
 image-plane motion is indistinguishable from some rigid motion.  Exact l1
 recovery relative to a support F holds iff every such vector carries
-strictly less l1 mass on F than off F.  The exact check fixes the signs on
-F (2^|F| patterns, halved by symmetry) and solves one small LP per pattern;
-the randomized check samples the ambiguity subspace and can only falsify.
+strictly less l1 mass on F than off F.  The check fixes the signs on F
+(2^|F| patterns, halved by symmetry) and solves one small LP per pattern,
+so a verdict is decided, not sampled: "holds" rests on the LP optima and
+"fails" carries a counterexample.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .camera import RANK_TOL, SystemMatrices, reduce_system
+from .camera import SystemMatrices, reduce_system
 from .solvers import Support
 
 
@@ -49,22 +50,17 @@ class AmbiguousObservation:
     z_off: np.ndarray  # rigid vector paired with x_off
 
 
-def ambiguity_nullspace(A, B, rank_tol: float = RANK_TOL) -> np.ndarray:
+def ambiguity_nullspace(A, B) -> np.ndarray:
     """d x k orthonormal basis of {w : B w in span(A)} = ker((I - QQ^T) B).
 
     An assembled system already holds it as system.reduction.null_space.
     """
-    return reduce_system(A, B, rank_tol).null_space
+    return reduce_system(A, B).null_space
 
 
-def _normalized_gap(v, on_mask) -> float:
-    """(||v_F||_1 - ||v_Fbar||_1) / ||v||_1; positive means violation."""
-    a = np.abs(v)
-    tot = a.sum()
-    if tot == 0.0:
-        return -1.0
-    on = a[on_mask].sum()
-    return (2.0 * on - tot) / tot
+def _support_indices(F: Support | tuple) -> np.ndarray:
+    """Sorted distinct indices of a Support or of a tuple of DoF indices."""
+    return np.asarray((F if isinstance(F, Support) else Support(F)).indices, dtype=int)
 
 
 def _sign_pattern_lp(Z, on_idx, off_idx, signs):
@@ -112,147 +108,70 @@ def _sign_pattern_lp(Z, on_idx, off_idx, signs):
     return value, v
 
 
-def check_pksp(
-    Z: np.ndarray,
-    F: Support | tuple,
-    mode: str = "exact",
-    budget: int = 4096,
-    rng=None,
-) -> PkspVerdict:
+def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
     """Decide the exact-recovery property relative to support F.
 
     Z is a d x k orthonormal basis of the ambiguity null space
-    (system.reduction.null_space or ambiguity_nullspace).  Exact mode
-    enumerates the 2^(|F|-1) sign patterns on F, for |F| <= 12 whatever the
-    budget, and is a proof either way.  Randomized mode draws budget samples
-    from the ambiguity subspace and refines the best by sign-flip local
-    ascent; it can certify failure (counterexample) but "holds" only means
-    "not falsified".
+    (system.reduction.null_space or ambiguity_nullspace).  The check
+    enumerates the 2^(|F|-1) sign patterns on F, for |F| <= 12, and is a
+    proof either way.
     """
     d, k = Z.shape
-    on_idx = np.asarray(
-        F.indices if isinstance(F, Support) else sorted(set(int(i) for i in F)),
-        dtype=int,
-    )
+    on_idx = _support_indices(F)
     if on_idx.size and (on_idx.min() < 0 or on_idx.max() >= d):
         raise ValueError("support indices out of range")
     if k == 0:
         return PkspVerdict(True, 1.0, None)
-    on_mask = np.zeros(d, dtype=bool)
-    on_mask[on_idx] = True
-    off_idx = np.flatnonzero(~on_mask)
-
-    if mode == "exact":
-        f = on_idx.size
-        if f > 12:
-            raise BudgetExceededError(f"2^{f} sign patterns exceed the exact cap of 2^12")
-        if f == 0:
-            # F empty: gap = -1 for every nonzero ambiguity vector
-            return PkspVerdict(True, 1.0, None)
-        worst = -np.inf
-        worst_v = None
-        # v -> -v symmetry: fix the first sign to +1
-        for tail in itertools.product((1.0, -1.0), repeat=f - 1):
-            signs = np.array((1.0,) + tail)
-            out = _sign_pattern_lp(Z, on_idx, off_idx, signs)
-            if out is None:
-                continue
-            value, v = out
-            if value > worst:
-                worst, worst_v = value, v
-        if worst == -np.inf:
-            # subspace meets no sign pattern nontrivially (Z rows on F all zero
-            # and normalization infeasible); treat as vacuous
-            return PkspVerdict(True, 1.0, None)
-        holds = worst < 0.0
-        counter = None if holds else worst_v / np.sum(np.abs(worst_v))
-        return PkspVerdict(holds, float(-worst), counter)
-
-    if mode == "randomized":
-        rng = np.random.default_rng(0) if rng is None else rng
-        best = -np.inf
-        best_v = None
-        for _ in range(max(budget, 1)):
-            v = Z @ rng.standard_normal(k)
-            nrm = np.sum(np.abs(v))
-            if nrm == 0.0:
-                continue
-            v /= nrm
-            g = _normalized_gap(v, on_mask)
-            if g > best:
-                best, best_v = g, v
-        if best_v is not None:
-            best_v, best = _local_ascent(Z, best_v, on_mask)
-        holds = bool(best < 0.0)  # a numpy bool would not serialize to JSON
-        counter = None if holds else best_v
-        return PkspVerdict(holds, float(-best), counter)
-
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _local_ascent(Z, v, on_mask, steps: int = 200, step0: float = 0.5):
-    """Projected subgradient ascent on the normalized gap within range(Z)."""
-    c = Z.T @ v
-    best = _normalized_gap(Z @ c, on_mask)
-    step = step0
-    for _ in range(steps):
-        v = Z @ c
-        g = np.sign(v)
-        g[~on_mask] *= -1.0
-        dirc = Z.T @ g
-        nd = np.linalg.norm(dirc)
-        if nd == 0.0:
-            break
-        cand = c + step * dirc / nd * np.linalg.norm(c)
-        vc = Z @ cand
-        nrm = np.sum(np.abs(vc))
-        if nrm == 0.0:
-            step *= 0.5
+    f = on_idx.size
+    if f > 12:
+        raise BudgetExceededError(f"2^{f} sign patterns exceed the exact cap of 2^12")
+    if f == 0:
+        # F empty: gap = -1 for every nonzero ambiguity vector
+        return PkspVerdict(True, 1.0, None)
+    off_idx = np.delete(np.arange(d), on_idx)
+    worst = -np.inf
+    worst_v = None
+    # v -> -v symmetry: fix the first sign to +1
+    for tail in itertools.product((1.0, -1.0), repeat=f - 1):
+        signs = np.array((1.0,) + tail)
+        out = _sign_pattern_lp(Z, on_idx, off_idx, signs)
+        if out is None:
             continue
-        gc = _normalized_gap(vc, on_mask)
-        if gc > best:
-            best, c = gc, cand
-        else:
-            step *= 0.7
-            if step < 1e-6:
-                break
-    v = Z @ c
-    return v / np.sum(np.abs(v)), best
+        value, v = out
+        if value > worst:
+            worst, worst_v = value, v
+    if worst == -np.inf:
+        # subspace meets no sign pattern nontrivially (Z rows on F all zero
+        # and normalization infeasible); treat as vacuous
+        return PkspVerdict(True, 1.0, None)
+    holds = worst < 0.0
+    counter = None if holds else worst_v / np.sum(np.abs(worst_v))
+    return PkspVerdict(holds, float(-worst), counter)
 
 
-def check_pksp_order(
-    Z: np.ndarray,
-    s: int,
-    mode: str = "exact",
-    budget: int = 2_000_000,
-    rng=None,
-):
-    """Decide the property for every support of size s.
+def check_pksp_order(Z: np.ndarray, s: int, budget: int = 2_000_000):
+    """Decide the property for every support of size s, 0 <= s <= d.
 
     Z is the d x k ambiguity basis, as for check_pksp.  Returns (verdict,
     worst_support): every support of size s is checked with check_pksp and
     the one with the smallest margin (the first in lexicographic order on
-    ties) is reported.  Exact mode refuses when comb(d, s) * 2^s exceeds
-    budget.
+    ties) is reported.  Refuses when comb(d, s) * 2^s exceeds budget.
     """
     d, k = Z.shape
+    if not 0 <= s <= d:
+        raise ValueError(f"order {s} outside 0..{d}")
     if s == 0 or k == 0:
-        return PkspVerdict(True, 1.0, None), Support((), epsilon=1.0)
-    if mode == "exact" and math.comb(d, s) * 2**s > budget:
+        return PkspVerdict(True, 1.0, None), Support(())
+    if math.comb(d, s) * 2**s > budget:
         raise BudgetExceededError(
             f"comb({d},{s}) * 2^{s} support/sign enumerations exceed budget {budget}"
         )
     worst_margin = np.inf
-    worst_sup: tuple = ()
-    worst_verdict = None
     for comb in itertools.combinations(range(d), s):
-        verdict = check_pksp(Z, comb, mode=mode, budget=budget, rng=rng)
+        verdict = check_pksp(Z, comb)
         if verdict.margin < worst_margin:
-            worst_margin = verdict.margin
-            worst_sup = comb
-            worst_verdict = verdict
-    assert worst_verdict is not None
-    return worst_verdict, Support(worst_sup, epsilon=1.0)
+            worst_margin, worst_sup, worst_verdict = verdict.margin, comb, verdict
+    return worst_verdict, Support(worst_sup)
 
 
 def build_ambiguous_observation(
@@ -267,10 +186,7 @@ def build_ambiguous_observation(
     ||x||_1 >= ||xbar||_1.
     """
     v = np.asarray(counterexample, dtype=float)
-    on_idx = np.asarray(
-        F.indices if isinstance(F, Support) else sorted(set(int(i) for i in F)),
-        dtype=int,
-    )
+    on_idx = _support_indices(F)
     nrm = np.sum(np.abs(v))
     if nrm == 0.0:
         raise InvalidCounterexampleError("counterexample is zero")

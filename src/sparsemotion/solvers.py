@@ -81,7 +81,6 @@ class SolveStats:
 @dataclass(frozen=True)
 class Support:
     indices: tuple[int, ...]
-    epsilon: float
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(sorted(set(int(i) for i in self.indices))))
@@ -89,16 +88,13 @@ class Support:
     def __len__(self):
         return len(self.indices)
 
-    def as_set(self) -> frozenset:
-        return frozenset(self.indices)
-
 
 def extract_support(omega, epsilon: float) -> Support:
     """Indices with |omega_i| > epsilon."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     omega = np.asarray(omega, dtype=float)
-    return Support(tuple(np.flatnonzero(np.abs(omega) > epsilon)), epsilon)
+    return Support(tuple(np.flatnonzero(np.abs(omega) > epsilon)))
 
 
 def _observation_vector(sys: SystemMatrices, y) -> np.ndarray:
@@ -223,5 +219,5 @@ def solve_l0_oracle(sys: SystemMatrices, y, s_max: int, feas_tol: float = 1e-8):
                 omega = np.zeros(d)
                 if s:
                     omega[list(comb)] = sol[6:]
-                return DifferentialMotion(sol[:6], omega), Support(comb, epsilon=feas_tol)
+                return DifferentialMotion(sol[:6], omega), Support(comb)
     raise NoFeasibleSupportError(f"no support of size <= {s_max} explains the observation")

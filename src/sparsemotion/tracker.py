@@ -82,7 +82,7 @@ def differential_observation(
         raise AssemblyError(f"only {int(np.sum(both))} jointly visible landmarks")
     idx = np.flatnonzero(both)
     diff = cam.to_normalized(curr.uv[idx]) - cam.to_normalized(prev.uv[idx])
-    return Observation(y=diff.ravel(), visible=both, frame_index=curr.frame_index)
+    return Observation(y=diff.ravel(), visible=both)
 
 
 def reprojection_error(
@@ -132,7 +132,7 @@ def step_frame(
             frame_index=frame.frame_index,
             rho=np.zeros(6),
             omega=np.zeros(skel.dof),
-            support=Support((), epsilon=opts.support_epsilon),
+            support=Support(()),
             reproj_err_px=float("nan"),
             iterations=0,
             converged=False,

@@ -143,7 +143,7 @@ class TestAssembleSystem:
         sys = assemble_system(skel40, pose, cam1145)
         assert sys.A.shape == (26, 6)
         assert sys.B.shape == (26, 40)
-        assert sys.n_visible == 13
+        assert sys.visible_index.size == 13
         # A and B are the projection blocks applied to the 3D Jacobians
         from sparsemotion.kinematics import fk_arrays
         _, _, pts = fk_arrays(skel40, pose)
@@ -159,7 +159,7 @@ class TestAssembleSystem:
             pose = in_bounds_pose(skel40, rng)
             sys = assemble_system(skel40, pose, cam1145)
             sv = np.linalg.svd(sys.A, compute_uv=False)
-            assert sys.conditioning == pytest.approx(sv[-1])
+            assert sys.reduction.rigid_sv[-1] == pytest.approx(sv[-1])
             assert sv[-1] > 1e-10 * sv[0]
 
     def test_occlusion_removes_rows(self, skel40, cam1145, skel40_pose):
@@ -167,7 +167,7 @@ class TestAssembleSystem:
         visible[[2, 7]] = False
         sys = assemble_system(skel40, skel40_pose, cam1145, visible=visible)
         assert sys.A.shape == (22, 6)
-        assert sys.n_visible == 11
+        assert sys.visible_index.size == 11
         np.testing.assert_array_equal(sys.visible_index,
                                       np.delete(np.arange(13), [2, 7]))
         full = assemble_system(skel40, skel40_pose, cam1145)

@@ -146,13 +146,21 @@ class TestPkspCheck:
         assert not out["holds"]
         assert "counterexample" in out
 
-    def test_randomized_mode_writes_json(self, paths, tmp_path, capsys):
+    def test_support_written_as_checked(self, paths, tmp_path, capsys):
+        """Repeated and unordered indices name one sorted support."""
         code = run(["pksp-check", *self.toy_args(paths, tmp_path),
-                    "--support", "1,2", "--mode", "randomized",
-                    "--budget", "200"])
+                    "--support", "2,1,2"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["mode"] == "randomized" and out["holds"] is True
+        assert out["support"] == [1, 2]
+        assert "mode" not in out
+
+    def test_support_above_sign_pattern_cap(self, paths, capsys):
+        code = run(["pksp-check", *base_args(paths),
+                    "--support", ",".join(str(i) for i in range(13))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "exceed the exact cap of 2^12" in err
 
     def test_order_mode(self, paths, tmp_path, capsys):
         code = run(["pksp-check", *self.toy_args(paths, tmp_path),
@@ -186,6 +194,12 @@ class TestPkspCheck:
         capsys.readouterr()
         assert code == 0
         assert len(calls) == 3
+
+    def test_order_out_of_range(self, paths, capsys):
+        code = run(["pksp-check", *base_args(paths), "--order", "41"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "0..40" in err
 
     def test_support_and_order_mutually_exclusive(self, paths, capsys):
         code = run(["pksp-check", *base_args(paths)])

@@ -39,10 +39,9 @@ def sparse_observation(sys, indices, values, rho=None, rng=None):
 
 class TestSupport:
     def test_sorted_deduplicated(self):
-        s = Support((5, 1, 5, 3), epsilon=1e-4)
+        s = Support((5, 1, 5, 3))
         assert s.indices == (1, 3, 5)
         assert len(s) == 3
-        assert s.as_set() == frozenset({1, 3, 5})
 
     def test_extract_support_threshold(self):
         omega = np.array([0.0, 2e-4, -5e-5, -3e-3])
@@ -109,7 +108,6 @@ class TestEliminateRigid:
         kept = skel40_system.reduction
         for name in ("Q", "rigid_sv", "rigid_vt", "U", "sv", "Vt"):
             np.testing.assert_array_equal(getattr(kept, name), getattr(red, name))
-        assert skel40_system.conditioning == red.rigid_sv[-1]
 
     def test_one_factorization_of_each_block(self, skel40, skel40_pose,
                                              cam1145, monkeypatch):
