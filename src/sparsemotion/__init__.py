@@ -2,15 +2,8 @@
 with exact-recovery certification for a given skeleton/camera configuration.
 """
 
-from .camera import CameraModel, Observation, SystemMatrices, assemble_system
-from .kinematics import (
-    Pose,
-    Skeleton,
-    clamp_angles,
-    default_skeleton,
-    forward_kinematics,
-    load_skeleton,
-)
+from .camera import CameraModel, SystemMatrices, assemble_system
+from .kinematics import Pose, Skeleton, clamp_angles, default_skeleton, load_skeleton
 from .liegroup import RigidTransform, Twist
 from .pksp import ambiguity_nullspace, check_pksp, check_pksp_order
 from .solvers import (
@@ -28,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CameraModel",
     "DifferentialMotion",
-    "Observation",
     "Pose",
     "RigidTransform",
     "Skeleton",
@@ -43,7 +35,6 @@ __all__ = [
     "clamp_angles",
     "default_skeleton",
     "extract_support",
-    "forward_kinematics",
     "load_skeleton",
     "solve_l0_oracle",
     "solve_l2",

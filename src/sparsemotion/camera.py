@@ -51,16 +51,6 @@ class CameraModel:
 
 
 @dataclass(frozen=True)
-class Observation:
-    y: np.ndarray  # stacked (udot, vdot) per visible landmark, normalized
-    visible: np.ndarray  # N boolean flags
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "visible", np.asarray(self.visible, dtype=bool))
-
-
-@dataclass(frozen=True)
 class RigidReduction:
     """y = A rho + B w with the rigid block projected out (reduce_system).
 
@@ -108,8 +98,14 @@ class RigidReduction:
 class SystemMatrices:
     A: np.ndarray  # 2N' x 6, projected rigid Jacobian
     B: np.ndarray  # 2N' x d, projected articulated Jacobian
-    visible_index: np.ndarray  # indices of visible landmarks
+    visible_index: np.ndarray  # row pair (2i, 2i+1) belongs to landmark visible_index[i]
     reduction: RigidReduction  # reduce_system(A, B)
+
+
+def in_view(points, visible, cam: CameraModel) -> np.ndarray:
+    """Flags of the landmarks at points (N, 3) that a frame observes: flagged
+    visible (N booleans) and at depth >= cam.min_depth."""
+    return visible & (points[:, 2] >= cam.min_depth)
 
 
 def project(p, cam: CameraModel) -> np.ndarray:
@@ -169,11 +165,12 @@ def are_collinear(points, tol: float = _COLLINEAR_TOL) -> bool:
 def assemble_system(
     skel: Skeleton, pose: Pose, cam: CameraModel, visible=None
 ) -> SystemMatrices:
-    """Assemble A = M Gamma (2N'x6) and B = M J (2N'xd) over visible landmarks.
+    """Assemble A = M Gamma (2N'x6) and B = M J (2N'xd) over the landmarks in
+    view (in_view): a landmark nearer than cam.min_depth has no rows.
 
-    Requires at least 3 visible, non-collinear landmarks with valid depths;
-    their rows guarantee a trivial null space for A, which reduce_system
-    checks numerically (RankDeficientError).
+    Requires at least 3 such landmarks, not collinear; their rows guarantee
+    a trivial null space for A, which reduce_system checks numerically
+    (RankDeficientError).
     """
     n = skel.n_landmarks
     if visible is None:
@@ -182,9 +179,7 @@ def assemble_system(
     if visible.shape != (n,):
         raise AssemblyError("visibility flag count does not match landmarks")
     R, t, pts = fk_arrays(skel, pose)
-    # near-plane landmarks are dropped rather than erroring the frame
-    visible = visible & (pts[:, 2] >= cam.min_depth)
-    idx = np.flatnonzero(visible)
+    idx = np.flatnonzero(in_view(pts, visible, cam))
     if idx.size < 3:
         raise AssemblyError(f"only {idx.size} visible landmarks, need at least 3")
     vpts = pts[idx]

@@ -21,11 +21,12 @@ import sys
 
 import numpy as np
 
-from .camera import CameraModel, Observation, assemble_system
+from .camera import CameraModel, assemble_system
 from .experiments import run_sweep, sample_pose, write_results_csv, write_trials_jsonl
 from .kinematics import SkeletonError, load_skeleton
 from .pksp import BudgetExceededError, check_pksp, check_pksp_order
-from .solvers import SolveOptions, Support, extract_support, solve_l0_oracle, solve_l2, solve_rf
+from .solvers import SUPPORT_EPSILON, SolveOptions, Support, extract_support
+from .solvers import solve_l0_oracle, solve_l2, solve_rf
 from .tracker import (
     SequenceError,
     TrackOptions,
@@ -105,10 +106,12 @@ def cmd_solve_frame(args) -> int:
         )
     except (KeyError, ValueError) as e:
         raise InputError(f"{args.observation}: bad observation: {e}") from e
-    if y.size != 2 * int(np.sum(visible)):
+    if y.shape != (2 * int(np.sum(visible)),):
         raise InputError("observation length does not match visible landmark count")
     sys_m = assemble_system(skel, pose, cam, visible)
-    obs = Observation(y=y, visible=visible)
+    rates = np.zeros((skel.n_landmarks, 2))
+    rates[visible] = y.reshape(-1, 2)
+    y = rates[sys_m.visible_index].ravel()
     opts = SolveOptions(
         max_iter=args.max_iter,
         primal_tol=args.tol,
@@ -118,7 +121,7 @@ def cmd_solve_frame(args) -> int:
     )
     code = EXIT_OK
     if args.solver == "rf":
-        motion, stats = solve_rf(sys_m, obs, opts)
+        motion, stats = solve_rf(sys_m, y, opts)
         stats_obj = {
             "iterations": stats.iterations,
             "primal_residual": stats.primal_residual,
@@ -130,10 +133,10 @@ def cmd_solve_frame(args) -> int:
         if not stats.converged:
             code = EXIT_RESOURCE
     elif args.solver == "l2":
-        motion = solve_l2(sys_m, obs)
+        motion = solve_l2(sys_m, y)
         stats_obj = {"converged": True}
     else:
-        motion, _ = solve_l0_oracle(sys_m, obs, args.l0_max_support)
+        motion, _ = solve_l0_oracle(sys_m, y, args.l0_max_support)
         stats_obj = {"converged": True}
     support = extract_support(motion.omega, args.epsilon)
     _emit(
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--max-iter", type=int, default=20000)
     sf.add_argument("--tol", type=float, default=1e-9)
     sf.add_argument("--omega-max-deg", type=float, default=5.0)
-    sf.add_argument("--epsilon", type=float, default=1e-4)
+    sf.add_argument("--epsilon", type=float, default=SUPPORT_EPSILON)
     sf.add_argument("--l0-max-support", type=int, default=3)
     sf.set_defaults(func=cmd_solve_frame)
 

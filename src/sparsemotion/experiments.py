@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, Observation, SystemMatrices, assemble_system
+from .camera import AssemblyError, CameraModel, RankDeficientError, SystemMatrices
+from .camera import assemble_system
 from .kinematics import Pose, Skeleton, fk_arrays
 from .liegroup import RigidTransform
-from .solvers import DifferentialMotion, SolveOptions, solve_l2, solve_rf
+from .solvers import SUPPORT_EPSILON, DifferentialMotion, SolveOptions, solve_l2, solve_rf
 
 _DEG = math.pi / 180.0
-DEFAULT_EPSILON = 1e-4  # rad, support classification threshold
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,18 @@ def synthesize_observation(
     rng,
     visible=None,
     sys: SystemMatrices | None = None,
-) -> Observation:
-    """y = A rho + B omega + noise, noise i.i.d. N(0, (std_px / focal)^2)."""
+) -> np.ndarray:
+    """y = A rho + B omega + noise, noise i.i.d. N(0, (std_px / focal)^2),
+    stacked over the rows of sys (assembled here unless given)."""
     if sys is None:
         sys = assemble_system(skel, pose, cam, visible)
     y = sys.A @ motion.rho + sys.B @ motion.omega
     if noise_std_px > 0:
         y = y + rng.normal(0.0, noise_std_px / cam.focal, size=y.shape)
-    flags = np.zeros(skel.n_landmarks, dtype=bool)
-    flags[sys.visible_index] = True
-    return Observation(y=y, visible=flags)
+    return y
 
 
-def support_metrics(omega_hat, omega_true, epsilon: float = DEFAULT_EPSILON):
+def support_metrics(omega_hat, omega_true, epsilon: float = SUPPORT_EPSILON):
     """Confusion-matrix rates with positive = nonzero motion; 0/0 -> 1."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -167,7 +166,7 @@ def run_trial(
     solver_names=("rf", "l2"),
     opts: SolveOptions | None = None,
     visible=None,
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float = SUPPORT_EPSILON,
 ) -> dict[str, TrialResult]:
     """One synthesis + solve + metrics pass; returns results keyed by solver."""
     # box on by default: noisy equality solves are only meaningful with the
@@ -177,17 +176,17 @@ def run_trial(
     )
     sys = assemble_system(skel, pose, cam, visible)
     motion = gen_sparse_motion(skel, pose, cfg.support_size, rng, cfg)
-    obs = synthesize_observation(
+    y = synthesize_observation(
         skel, pose, motion, cam, cfg.noise_std_px, rng, sys=sys
     )
     out = {}
     for name in solver_names:
         iters, conv = 0, True
         if name == "rf":
-            est, stats = solve_rf(sys, obs, opts)
+            est, stats = solve_rf(sys, y, opts)
             iters, conv = stats.iterations, stats.converged
         elif name == "l2":
-            est = solve_l2(sys, obs)
+            est = solve_l2(sys, y)
         else:
             raise ValueError(f"unknown solver {name!r}")
         acc, spec, sens = support_metrics(est.omega, motion.omega, epsilon)
@@ -219,15 +218,18 @@ def run_sweep(
     magnitude_range: tuple[float, float] = (0.5 * _DEG, 5.0 * _DEG),
     rigid_scale: float = 1e-3,
     opts: SolveOptions | None = None,
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float = SUPPORT_EPSILON,
 ):
     """Grid sweep over (support size, noise std) cells.
 
-    Each trial draws its RNG stream from (seed, cell, trial) so serial and
-    parallel execution agree.  Returns (rows, trial_records): aggregated
-    mean/std per cell and solver, plus per-trial dicts.  Each row also
-    counts the cell's trials that raised (``errors``, left out of
+    Each trial draws its RNG stream from (seed, cell, trial), so a trial's
+    result does not depend on the others.  Returns (rows, trial_records):
+    aggregated mean/std per cell and solver, plus per-trial dicts.  Each row
+    also counts the cell's trials that raised (``errors``, left out of
     ``trials``) and the solver's non-converged solves (``not_converged``).
+    A trial that cannot be assembled or solved (AssemblyError,
+    RankDeficientError, RuntimeError) counts as an error; any other
+    exception propagates.
     """
     visible = None
     if occlude_landmark is not None:
@@ -260,7 +262,7 @@ def run_sweep(
                 res = run_trial(
                     skel, pose, cam, cfg, rng, solver_names, opts, visible, epsilon
                 )
-            except Exception as e:  # per-trial failures recorded, not fatal
+            except (AssemblyError, RankDeficientError, RuntimeError) as e:
                 errors += 1
                 records.append(
                     {"cell": cell_idx, "s": s, "delta": delta, "trial": t, "error": str(e)}

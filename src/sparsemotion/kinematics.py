@@ -236,13 +236,6 @@ def fk_arrays(skel: Skeleton, pose: Pose):
     return R, t, pts
 
 
-def forward_kinematics(skel: Skeleton, pose: Pose):
-    """Per-joint rigid transforms and landmark positions in the camera frame."""
-    R, t, pts = fk_arrays(skel, pose)
-    transforms = [RigidTransform(R[j], t[j]) for j in range(skel.dof)]
-    return transforms, pts
-
-
 def jacobian_from_fk(skel: Skeleton, R, t, points) -> np.ndarray:
     """articulated_jacobian from the (R, t, points) that fk_arrays returned."""
     return _kernels.articulated_jacobian(R, t, skel.axes, skel.ancestry, points)

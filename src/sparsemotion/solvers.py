@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .camera import AssemblyError, Observation, SystemMatrices
+from .camera import AssemblyError, SystemMatrices
 
 _DEG5 = math.radians(5.0)
 
@@ -89,6 +89,9 @@ class Support:
         return len(self.indices)
 
 
+SUPPORT_EPSILON = 1e-4  # rad, default threshold of a nonzero rate
+
+
 def extract_support(omega, epsilon: float) -> Support:
     """Indices with |omega_i| > epsilon."""
     if epsilon <= 0:
@@ -99,12 +102,11 @@ def extract_support(omega, epsilon: float) -> Support:
 
 def _observation_vector(sys: SystemMatrices, y) -> np.ndarray:
     """The stacked observation, checked to have one entry per system row."""
-    yv = y.y if isinstance(y, Observation) else np.asarray(y, dtype=float)
+    yv = np.asarray(y, dtype=float)
     if yv.shape != (sys.A.shape[0],):
         raise AssemblyError(
             f"observation has {yv.size} entries but the assembled system has "
-            f"{sys.A.shape[0]} rows (assembly drops landmarks below the camera's "
-            "minimum depth)"
+            f"{sys.A.shape[0]} rows"
         )
     return yv
 

@@ -7,15 +7,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import AssemblyError, CameraModel, Observation, RankDeficientError
-from .camera import assemble_system, project
+from .camera import AssemblyError, CameraModel, RankDeficientError
+from .camera import assemble_system, in_view, project
 from .kinematics import Pose, Skeleton, clamp_angles, fk_arrays
 from .liegroup import RigidTransform, exp_twist_vector
-from .solvers import SolveOptions, Support, extract_support, solve_rf
+from .solvers import SUPPORT_EPSILON, SolveOptions, Support, extract_support, solve_rf
 
 _RENORM_EVERY = 100  # composition steps between rotation renormalizations
 
@@ -39,7 +39,6 @@ class LandmarkFrame:
 class TrackOptions:
     solve: SolveOptions = SolveOptions(max_iter=5000, box_enabled=True)
     reinit_threshold_px: float = 50.0
-    support_epsilon: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class TrackerState:
     pose: Pose
     last_frame: LandmarkFrame
     steps: int = 0
-    needs_reinit: bool = False
 
 
 @dataclass(frozen=True)
@@ -71,31 +69,29 @@ def render_frame(skel: Skeleton, pose: Pose, cam: CameraModel, frame_index: int)
     return LandmarkFrame(frame_index, uv, np.ones(len(pts), dtype=bool))
 
 
-def differential_observation(
-    prev: LandmarkFrame, curr: LandmarkFrame, cam: CameraModel
-) -> Observation:
-    """Normalized-coordinate motion between frames over jointly visible landmarks."""
+def differential_observation(prev: LandmarkFrame, curr: LandmarkFrame, cam: CameraModel):
+    """Per-landmark normalized-coordinate motion between frames, (N, 2), and
+    the flags of the landmarks both frames observe.  The rows a solve reads
+    are the assembled system's (SystemMatrices.visible_index).
+    """
     if prev.uv.shape != curr.uv.shape:
         raise SequenceError("frames have different landmark counts")
-    both = prev.visible & curr.visible
-    if np.sum(both) < 3:
-        raise AssemblyError(f"only {int(np.sum(both))} jointly visible landmarks")
-    idx = np.flatnonzero(both)
-    diff = cam.to_normalized(curr.uv[idx]) - cam.to_normalized(prev.uv[idx])
-    return Observation(y=diff.ravel(), visible=both)
+    rates = cam.to_normalized(curr.uv) - cam.to_normalized(prev.uv)
+    return rates, prev.visible & curr.visible
 
 
 def reprojection_error(
     skel: Skeleton, pose: Pose, frame: LandmarkFrame, cam: CameraModel
 ) -> float:
     """Worst-landmark pixel distance between projected model landmarks and
-    observations.  The max (not the mean) is what makes a per-landmark
-    failure detectable against the reinit threshold.
+    observations, over the landmarks in view (camera.in_view).  The max (not
+    the mean) is what makes a per-landmark failure detectable against the
+    reinit threshold.
     """
-    idx = np.flatnonzero(frame.visible)
+    _, _, pts = fk_arrays(skel, pose)
+    idx = np.flatnonzero(in_view(pts, frame.visible, cam))
     if idx.size == 0:
         raise ValueError("no visible landmarks")
-    _, _, pts = fk_arrays(skel, pose)
     diff = cam.to_pixels(project(pts[idx], cam)) - frame.uv[idx]
     # per-row inner products, the same dot that np.linalg.norm takes of one
     # row, so each distance equals the per-landmark norm to the bit
@@ -117,16 +113,17 @@ def step_frame(
 ):
     """Solve one frame and integrate the pose.
 
-    Assembles the system at the current pose, solves the box-constrained l1
-    problem, applies theta += omega with clamping and T_c <- exp(rho) T_c,
-    and flags reinitialization when the reprojection error of the updated
-    pose exceeds the threshold.  Unrecoverable frames are skipped with the
-    flag raised and do not advance the reference frame.
+    Assembles the system at the current pose over the jointly visible
+    landmarks, solves the box-constrained l1 problem on the rows of the
+    landmarks in view, applies theta += omega with clamping and
+    T_c <- exp(rho) T_c, and flags reinitialization when the reprojection
+    error of the updated pose exceeds the threshold.  Unrecoverable frames
+    are skipped with the flag raised and leave the state as it was.
     """
     try:
-        obs = differential_observation(state.last_frame, frame, cam)
-        sys = assemble_system(skel, state.pose, cam, obs.visible)
-        motion, stats = solve_rf(sys, obs, opts.solve)
+        rates, both = differential_observation(state.last_frame, frame, cam)
+        sys = assemble_system(skel, state.pose, cam, both)
+        motion, stats = solve_rf(sys, rates[sys.visible_index].ravel(), opts.solve)
     except (AssemblyError, SequenceError, RankDeficientError):
         result = FrameResult(
             frame_index=frame.frame_index,
@@ -140,7 +137,7 @@ def step_frame(
             reinit=True,
             skipped=True,
         )
-        return replace(state, needs_reinit=True), result
+        return state, result
 
     theta = clamp_angles(state.pose.theta + motion.omega, skel)
     Tc = exp_twist_vector(motion.rho).compose(state.pose.camera_to_root)
@@ -154,20 +151,14 @@ def step_frame(
         frame_index=frame.frame_index,
         rho=motion.rho,
         omega=motion.omega,
-        support=extract_support(motion.omega, opts.support_epsilon),
+        support=extract_support(motion.omega, SUPPORT_EPSILON),
         reproj_err_px=err,
         iterations=stats.iterations,
         converged=stats.converged,
         termination=stats.termination,
         reinit=reinit,
     )
-    new_state = TrackerState(
-        pose=pose,
-        last_frame=frame,
-        steps=steps,
-        needs_reinit=reinit,
-    )
-    return new_state, result
+    return TrackerState(pose=pose, last_frame=frame, steps=steps), result
 
 
 def iter_track(

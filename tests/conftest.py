@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsemotion import CameraModel, default_skeleton
-from sparsemotion.camera import Observation, assemble_system
+from sparsemotion.camera import assemble_system
 from sparsemotion.experiments import sample_pose
 from sparsemotion.kinematics import Pose, load_skeleton
 from sparsemotion.liegroup import RigidTransform
@@ -89,13 +89,6 @@ def in_bounds_pose(skel, rng, spread=0.5, depth=3.0) -> Pose:
     )
     Tc = RigidTransform(np.eye(3), np.array([0.0, 0.0, depth]))
     return Pose(camera_to_root=Tc, theta=theta)
-
-
-def full_observation(sys, y):
-    n = sys.visible_index.size
-    visible = np.zeros(n, dtype=bool)
-    visible[:] = True
-    return Observation(y=y, visible=visible)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from sparsemotion.camera import CameraModel, assemble_system
 from sparsemotion.cli import run
 from sparsemotion.experiments import sample_pose
 from sparsemotion.kinematics import Pose, default_skeleton, fk_arrays
+from sparsemotion.liegroup import RigidTransform
 from sparsemotion.tracker import (
     TrackOptions,
     load_landmark_csv,
@@ -95,20 +96,32 @@ class TestSolveFrame:
 
     @pytest.mark.parametrize("solver", ["rf", "l2"])
     def test_landmark_below_min_depth(self, paths, tmp_path, capsys, solver):
-        """Assembly drops the nearest landmark; the 26-entry observation is
-        refused with both counts named instead of a numpy shape error."""
+        """Assembly leaves out the landmark nearer than min_depth, and the
+        solve reads the rows of the landmarks left: the output is the same,
+        byte for byte, as with that landmark's flag off and its two entries
+        removed from the observation."""
         _, _, pts = fk_arrays(paths["skel_obj"], paths["pose_obj"])
         z = np.sort(pts[:, 2])
+        nearest = int(np.argmin(pts[:, 2]))
         near = tmp_path / "near_camera.json"
         near.write_text(json.dumps({"focal_px": 1145.0,
                                     "min_depth": (z[0] + z[1]) / 2}))
-        code = run(["solve-frame", "--skeleton", paths["skel"],
-                    "--camera", str(near), "--pose", paths["pose"],
-                    "--observation", paths["obs"], "--solver", solver])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "observation has 26 entries" in err
-        assert "24 rows" in err
+        obs = json.loads(open(paths["obs"]).read())
+        keep = np.arange(13) != nearest
+        flag_off = tmp_path / "flag_off.json"
+        flag_off.write_text(json.dumps({
+            "y_normalized": np.reshape(obs["y_normalized"], (13, 2))[keep]
+            .ravel().tolist(),
+            "visible": keep.tolist()}))
+        outs = []
+        for camera, observation in ((str(near), paths["obs"]),
+                                    (paths["cam"], str(flag_off))):
+            code = run(["solve-frame", "--skeleton", paths["skel"],
+                        "--camera", camera, "--pose", paths["pose"],
+                        "--observation", observation, "--solver", solver])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_missing_file(self, paths, capsys):
         code = run(["solve-frame", *base_args(paths),
@@ -307,6 +320,31 @@ class TestTrack:
         moved = np.flatnonzero(np.abs(np.radians(lines[-2]["theta_deg"])
                                       - pose.theta) > 1e-3)
         assert set(moved) == {5, 22}
+
+    def test_step_across_min_depth_completes(self, paths, tmp_path, capsys):
+        """The body moves 1e-3 per frame toward a camera whose min_depth
+        lies 1e-4 below the nearest landmark: every frame is tracked."""
+        pose = paths["pose_obj"]
+        _, _, pts = fk_arrays(paths["skel_obj"], pose)
+        near = tmp_path / "near_camera.json"
+        near.write_text(json.dumps({"focal_px": 1145.0,
+                                    "min_depth": np.min(pts[:, 2]) - 1e-4}))
+        Tc = pose.camera_to_root
+        poses = [Pose(RigidTransform(Tc.rotation,
+                                     Tc.translation - [0.0, 0.0, 1e-3 * k]),
+                      pose.theta) for k in range(3)]
+        lm_path = tmp_path / "landmarks.csv"
+        lm_path.write_text(landmark_csv(paths, poses))
+        out_path = tmp_path / "track.jsonl"
+        code = run(["track", "--skeleton", paths["skel"],
+                    "--camera", str(near), "--init-pose", paths["pose"],
+                    "--landmarks", str(lm_path), "--out", str(out_path)])
+        capsys.readouterr()
+        assert code == 0
+        lines = [json.loads(x) for x in out_path.read_text().splitlines()]
+        assert [line.get("frame") for line in lines[:-1]] == [0, 1, 2]
+        assert not any(line["skipped"] for line in lines[:-1])
+        assert lines[-1]["summary"] and lines[-1]["frames"] == 3
 
     def test_bad_landmark_csv(self, paths, tmp_path, capsys):
         lm_path = tmp_path / "bad.csv"

@@ -104,10 +104,9 @@ class TestSynthesizeObservation:
         cfg = TrialConfig(support_size=3, noise_std_px=0.0)
         motion = gen_sparse_motion(skel40, pose, 3, rng, cfg)
         sys = assemble_system(skel40, pose, cam1145)
-        obs = synthesize_observation(skel40, pose, motion, cam1145, 0.0, rng)
+        y = synthesize_observation(skel40, pose, motion, cam1145, 0.0, rng)
         np.testing.assert_allclose(
-            obs.y, sys.A @ motion.rho + sys.B @ motion.omega, atol=1e-14)
-        assert obs.visible.all()
+            y, sys.A @ motion.rho + sys.B @ motion.omega, atol=1e-14)
 
     def test_noise_scaled_by_focal_length(self, skel40, cam1145):
         """Pixel-level noise enters normalized coordinates divided by the
@@ -120,9 +119,9 @@ class TestSynthesizeObservation:
         clean = sys.A @ motion.rho
         samples = []
         for _ in range(200):
-            obs = synthesize_observation(skel40, pose, motion, cam1145, 2.0,
-                                         rng, sys=sys)
-            samples.append(obs.y - clean)
+            y = synthesize_observation(skel40, pose, motion, cam1145, 2.0,
+                                       rng, sys=sys)
+            samples.append(y - clean)
         emp = np.std(np.concatenate(samples))
         assert emp == pytest.approx(2.0 / 1145.0, rel=0.05)
 
@@ -133,10 +132,12 @@ class TestSynthesizeObservation:
         motion = gen_sparse_motion(skel40, pose, 1, rng, cfg)
         visible = np.ones(13, dtype=bool)
         visible[4] = False
-        obs = synthesize_observation(skel40, pose, motion, cam1145, 0.0, rng,
-                                     visible=visible)
-        assert obs.y.shape == (24,)
-        assert not obs.visible[4]
+        y = synthesize_observation(skel40, pose, motion, cam1145, 0.0, rng,
+                                   visible=visible)
+        sys = assemble_system(skel40, pose, cam1145, visible)
+        assert 4 not in sys.visible_index
+        np.testing.assert_array_equal(
+            y, sys.A @ motion.rho + sys.B @ motion.omega)
 
 
 class TestSupportMetrics:
@@ -275,6 +276,17 @@ class TestRunSweep:
                   for r in rows}
         assert counts == {"rf": (2, 1, 2), "l2": (2, 1, 0)}
         assert [r["trial"] for r in records if "error" in r] == [1]
+
+    def test_programming_error_propagates(self, skel40, cam1145, monkeypatch):
+        """Only assembly and solve failures are recorded as trial errors; a
+        planted TypeError is not swallowed."""
+        def broken(*args, **kwargs):
+            raise TypeError("planted programming error")
+
+        monkeypatch.setattr(experiments, "solve_l2", broken)
+        poses = [sample_pose(skel40, np.random.default_rng(12))]
+        with pytest.raises(TypeError, match="planted"):
+            run_sweep(skel40, poses, cam1145, [(1, 0.0)], trials=1, seed=4)
 
 
 class TestSerialization:

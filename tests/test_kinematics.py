@@ -12,7 +12,6 @@ from sparsemotion.kinematics import (
     clamp_angles,
     default_skeleton,
     fk_arrays,
-    forward_kinematics,
     load_skeleton,
     rigid_jacobian,
 )
@@ -99,7 +98,7 @@ class TestLoadSkeleton:
 class TestForwardKinematics:
     def test_reference_configuration_sums_offsets(self, toy8):
         pose = Pose(RigidTransform.identity(), np.zeros(toy8.dof))
-        _, pts = forward_kinematics(toy8, pose)
+        _, _, pts = fk_arrays(toy8, pose)
         # landmark 2 hangs off the chain base -> d -> e -> f -> g
         expected = np.array([0, -0.3, 0]) + [0, -0.3, 0] + [0, -0.25, 0] \
             + [0, -0.2, 0] + [0, -0.15, 0]
@@ -110,8 +109,8 @@ class TestForwardKinematics:
         theta = rng.uniform(skel40.bounds_min, skel40.bounds_max)
         base = Pose(RigidTransform.identity(), theta)
         moved = Pose(RigidTransform(np.eye(3), np.array([0.0, 0, 3])), theta)
-        _, p0 = forward_kinematics(skel40, base)
-        _, p1 = forward_kinematics(skel40, moved)
+        _, _, p0 = fk_arrays(skel40, base)
+        _, _, p1 = fk_arrays(skel40, moved)
         np.testing.assert_allclose(p1, p0 + [0, 0, 3], atol=1e-12)
 
     def test_rotation_equivariance(self, skel40):
@@ -121,8 +120,8 @@ class TestForwardKinematics:
                              linear=np.array([0.2, 0, 0.1])), 0.8)
         base = Pose(RigidTransform.identity(), theta)
         moved = Pose(dT, theta)
-        _, p0 = forward_kinematics(skel40, base)
-        _, p1 = forward_kinematics(skel40, moved)
+        _, _, p0 = fk_arrays(skel40, base)
+        _, _, p1 = fk_arrays(skel40, moved)
         np.testing.assert_allclose(p1, p0 @ dT.rotation.T + dT.translation,
                                    atol=1e-12)
 
@@ -131,7 +130,7 @@ class TestForwardKinematics:
         rng = np.random.default_rng(2)
         theta = rng.uniform(skel40.bounds_min, skel40.bounds_max)
         pose = Pose(RigidTransform(np.eye(3), np.array([0.1, -0.2, 3.0])), theta)
-        _, pts = forward_kinematics(skel40, pose)
+        _, _, pts = fk_arrays(skel40, pose)
 
         mats = {}
         for j, js in enumerate(skel40.joints):
@@ -149,12 +148,12 @@ class TestForwardKinematics:
     def test_root_transform_is_camera_to_root(self, toy8):
         pose = Pose(RigidTransform(np.eye(3), np.array([0.0, 0, 3])),
                     np.zeros(toy8.dof))
-        transforms, _ = forward_kinematics(toy8, pose)
-        np.testing.assert_allclose(transforms[0].translation, [0, 0, 3])
+        _, t, _ = fk_arrays(toy8, pose)
+        np.testing.assert_allclose(t[0], [0, 0, 3])
 
     def test_dimension_mismatch(self, toy8):
         with pytest.raises(ValueError):
-            forward_kinematics(toy8, Pose(RigidTransform.identity(), np.zeros(3)))
+            fk_arrays(toy8, Pose(RigidTransform.identity(), np.zeros(3)))
 
 
 class TestArticulatedJacobian:

@@ -196,15 +196,15 @@ class TestSolveRF:
         pose = poses[t % 8]
         sys_m = assemble_system(skel40, pose, cam1145)
         truth = gen_sparse_motion(skel40, pose, 4, rng, TrialConfig(4, 0.0))
-        obs = synthesize_observation(skel40, pose, truth, cam1145, 0.0, rng,
-                                     sys=sys_m)
+        y = synthesize_observation(skel40, pose, truth, cam1145, 0.0, rng,
+                                   sys=sys_m)
         opts = SolveOptions(max_iter=20000, primal_tol=1e-10,
                             dual_tol=1e-10, box_enabled=True)
-        motion, stats = solve_rf(sys_m, obs, opts)
+        motion, stats = solve_rf(sys_m, y, opts)
         assert stats.termination == "converged"
         assert stats.converged
         red = sys_m.reduction
-        Bt, yt = red.project_out(sys_m.B), red.project_out(obs.y)
+        Bt, yt = red.project_out(sys_m.B), red.project_out(y)
         assert np.linalg.norm(Bt @ motion.omega - yt) <= 1e-10
         assert np.max(np.abs(motion.omega)) <= opts.omega_max
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsemotion.camera import AssemblyError, CameraModel
+from sparsemotion.camera import CameraModel
 from sparsemotion.kinematics import Pose, clamp_angles, fk_arrays
 from sparsemotion.liegroup import RigidTransform
 from sparsemotion.solvers import SolveOptions
@@ -14,6 +14,7 @@ from sparsemotion.tracker import (
     SequenceError,
     TrackOptions,
     differential_observation,
+    frame_result_to_json,
     frame_result_to_jsonl,
     load_landmark_csv,
     make_initial_state,
@@ -60,23 +61,18 @@ class TestRenderAndDifferential:
         f1 = render_frame(
             skel40, Pose(skel40_pose.camera_to_root, skel40_pose.theta + omega),
             cam1145, 1)
-        obs = differential_observation(f0, f1, cam1145)
-        np.testing.assert_allclose(obs.y, sys.B @ omega, atol=1e-9)
+        rates, both = differential_observation(f0, f1, cam1145)
+        assert both.all()
+        np.testing.assert_allclose(rates.ravel(), sys.B @ omega, atol=1e-9)
 
     def test_joint_visibility(self, skel40, cam1145, skel40_pose):
         f0 = render_frame(skel40, skel40_pose, cam1145, 0)
         vis = np.ones(13, dtype=bool)
         vis[5] = False
         f1 = LandmarkFrame(1, f0.uv, vis)
-        obs = differential_observation(f0, f1, cam1145)
-        assert obs.y.shape == (24,)
-        assert not obs.visible[5]
-
-    def test_too_few_jointly_visible(self, skel40, cam1145, skel40_pose):
-        f0 = render_frame(skel40, skel40_pose, cam1145, 0)
-        f1 = LandmarkFrame(1, f0.uv, np.zeros(13, dtype=bool))
-        with pytest.raises(AssemblyError):
-            differential_observation(f0, f1, cam1145)
+        rates, both = differential_observation(f0, f1, cam1145)
+        assert rates.shape == (13, 2)
+        np.testing.assert_array_equal(both, vis)
 
     def test_mismatched_frames(self, skel40, cam1145, skel40_pose):
         f0 = render_frame(skel40, skel40_pose, cam1145, 0)
@@ -144,21 +140,65 @@ class TestStepFrame:
                               np.zeros(13, dtype=bool))
         new_state, result = step_frame(state, frame, skel40, cam1145, TIGHT)
         assert result.skipped and result.reinit
-        assert new_state.needs_reinit
-        # reference frame does not advance on a skipped frame
-        assert new_state.last_frame is state.last_frame
+        # a skipped frame leaves the state, reference frame included, as it was
+        assert new_state is state
 
-    def test_landmark_below_min_depth_skips_frame(self, skel40, cam1145,
-                                                  skel40_pose):
-        """Assembly drops a landmark the observation still has: the frame
-        is skipped, as for any other unassemblable frame."""
+    def test_too_few_jointly_visible(self, skel40, cam1145, skel40_pose):
+        state = make_initial_state(skel40, skel40_pose, cam1145)
+        vis = np.zeros(13, dtype=bool)
+        vis[[0, 6]] = True
+        frame = LandmarkFrame(0, state.last_frame.uv, vis)
+        new_state, result = step_frame(state, frame, skel40, cam1145, TIGHT)
+        assert result.skipped and result.reinit
+        assert new_state is state
+
+    def test_landmark_below_min_depth_solved_without_it(self, skel40, cam1145,
+                                                         skel40_pose):
+        """A landmark nearer than the camera's min_depth is left out of the
+        solve and of the reprojection error: the frame is solved exactly as
+        the same frame with that landmark flagged invisible."""
         _, _, pts = fk_arrays(skel40, skel40_pose)
         z = np.sort(pts[:, 2])
+        nearest = int(np.argmin(pts[:, 2]))
         near = CameraModel(focal=cam1145.focal, min_depth=(z[0] + z[1]) / 2)
         state = make_initial_state(skel40, skel40_pose, cam1145)
-        frame = render_frame(skel40, skel40_pose, cam1145, 0)
-        new_state, result = step_frame(state, frame, skel40, near, TIGHT)
-        assert result.skipped and new_state.needs_reinit
+        omega = np.zeros(40)
+        omega[[12, 24]] = [3e-4, -2e-4]
+        frame = render_frame(
+            skel40, Pose(skel40_pose.camera_to_root, skel40_pose.theta + omega),
+            cam1145, 0)
+        vis = frame.visible.copy()
+        vis[nearest] = False
+        flagged = LandmarkFrame(0, frame.uv, vis)
+
+        near_state, near_result = step_frame(state, frame, skel40, near, TIGHT)
+        flag_state, flag_result = step_frame(state, flagged, skel40, cam1145,
+                                             TIGHT)
+        assert not near_result.skipped
+        assert frame_result_to_json(near_result) == \
+            frame_result_to_json(flag_result)
+        np.testing.assert_array_equal(near_state.pose.theta,
+                                      flag_state.pose.theta)
+        np.testing.assert_array_equal(near_state.pose.camera_to_root.matrix(),
+                                      flag_state.pose.camera_to_root.matrix())
+
+    def test_step_across_min_depth_returns_result(self, skel40, cam1145,
+                                                  skel40_pose):
+        """The body moves 1e-3 toward a camera whose min_depth lies 1e-4
+        below the nearest landmark: the updated pose carries that landmark
+        past min_depth, and its reprojection leaves it out."""
+        _, _, pts = fk_arrays(skel40, skel40_pose)
+        near = CameraModel(focal=cam1145.focal,
+                           min_depth=np.min(pts[:, 2]) - 1e-4)
+        Tc = skel40_pose.camera_to_root
+        closer = Pose(RigidTransform(Tc.rotation,
+                                     Tc.translation - [0.0, 0.0, 1e-3]),
+                      skel40_pose.theta)
+        state = make_initial_state(skel40, skel40_pose, near)
+        frame = render_frame(skel40, closer, cam1145, 0)
+        _, result = step_frame(state, frame, skel40, near, TIGHT)
+        assert not result.skipped and not result.reinit
+        assert result.reproj_err_px < 1e-3
 
     def test_wrong_angle_count_raises(self, skel40, cam1145, skel40_pose):
         """A pose of the wrong dimension is a programming error, not a bad
