@@ -7,7 +7,8 @@ at the CLI boundary, radians internally.
 
 pksp-check proves every verdict by exact sign-pattern LPs.  A --support may
 hold at most 12 distinct DoFs, and --budget caps the comb(d, s) * 2^s
-enumerations of --order s; past either limit it exits 2.
+enumerations of --order s; past either limit it exits 2, as solve-frame
+--solver l0 does past the oracle's enumeration budget.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import numpy as np
 from .camera import CameraModel, assemble_system
 from .experiments import run_sweep, sample_pose, write_results_csv, write_trials_jsonl
 from .kinematics import SkeletonError, load_skeleton
-from .pksp import BudgetExceededError, check_pksp, check_pksp_order
-from .solvers import SUPPORT_EPSILON, SolveOptions, Support, extract_support
-from .solvers import solve_l0_oracle, solve_l2, solve_rf
+from .pksp import check_pksp, check_pksp_order
+from .solvers import SUPPORT_EPSILON, BudgetExceededError, SolveOptions, Support
+from .solvers import extract_support, solve_l0_oracle, solve_l2, solve_rf
 from .tracker import (
     SequenceError,
     TrackOptions,
@@ -160,18 +161,14 @@ def cmd_pksp_check(args) -> int:
     Z = assemble_system(skel, pose, cam).reduction.null_space
     pose_hash = hashlib.sha256(_read(args.pose).encode()).hexdigest()[:16]
     cert = {"schema_version": SCHEMA_VERSION, "pose_hash": pose_hash}
-    try:
-        if args.support is not None:
-            F = Support(int(t) for t in args.support.split(","))
-            verdict = check_pksp(Z, F)
-            cert["support"] = list(F.indices)
-        else:
-            verdict, worst = check_pksp_order(Z, args.order, args.budget)
-            cert["order"] = args.order
-            cert["worst_support"] = list(worst.indices)
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    if args.support is not None:
+        F = Support(int(t) for t in args.support.split(","))
+        verdict = check_pksp(Z, F)
+        cert["support"] = list(F.indices)
+    else:
+        verdict, worst = check_pksp_order(Z, args.order, args.budget)
+        cert["order"] = args.order
+        cert["worst_support"] = list(worst.indices)
     cert["holds"] = verdict.holds
     cert["margin"] = verdict.margin
     if verdict.counterexample is not None:
@@ -262,7 +259,7 @@ def cmd_validate_skeleton(args) -> int:
             "name": skel.name,
             "dof": skel.dof,
             "landmarks": skel.n_landmarks,
-            "joints": [j.name for j in skel.joints],
+            "joints": list(skel.joint_names),
         }
     )
     return EXIT_OK
@@ -330,6 +327,9 @@ def run(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except BudgetExceededError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,15 +3,16 @@ articulated and rigid Jacobians, and anatomical angle clamping.
 
 A skeleton config declares joints with up to three rotational degrees of
 freedom each; multi-DoF joints are expanded on load into chains of 1-DoF
-joints with zero offsets, in declared order.  Angles are degrees in config
-files and radians everywhere else.
+joints with zero offsets, in declared order.  A loaded Skeleton is nothing
+but flat per-joint and per-landmark arrays, which the kernels read as they
+are.  Angles are degrees in config files and radians everywhere else.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -27,47 +28,31 @@ class SkeletonError(ValueError):
 
 
 @dataclass(frozen=True)
-class JointSpec:
-    """One rotational degree of freedom (post-expansion)."""
-
-    id: int
-    name: str
-    parent: int  # index of parent JointSpec, -1 for the root transform
-    offset: np.ndarray  # translation from parent frame, length units
-    axis: np.ndarray  # unit rotation axis in the reference configuration
-    bound_min: float  # rad
-    bound_max: float  # rad
-
-
-@dataclass(frozen=True)
-class LandmarkSpec:
-    id: int
-    joint: int  # deepest parent joint (post-expansion index)
-    local: np.ndarray  # constant position in that joint's frame
-
-
-@dataclass(frozen=True)
 class Skeleton:
+    """A kinematic tree of 1-DoF rotational joints, as the arrays the kernels
+    read.  Joint j turns about axes[j] after the translation offsets[j] from
+    joint parents[j] (-1: the camera-to-root transform); landmark i sits at
+    lmk_local[i] in joint lmk_joint[i]'s frame.
+    """
+
     name: str
-    joints: tuple[JointSpec, ...]
-    landmarks: tuple[LandmarkSpec, ...]
-    # flat arrays mirroring the joint/landmark records, consumed by the kernels
-    parents: np.ndarray = field(repr=False, default=None)
-    offsets: np.ndarray = field(repr=False, default=None)
-    axes: np.ndarray = field(repr=False, default=None)
-    bounds_min: np.ndarray = field(repr=False, default=None)
-    bounds_max: np.ndarray = field(repr=False, default=None)
-    lmk_joint: np.ndarray = field(repr=False, default=None)
-    lmk_local: np.ndarray = field(repr=False, default=None)
-    ancestry: np.ndarray = field(repr=False, default=None)  # (d, N) bool
+    joint_names: tuple[str, ...]
+    parents: np.ndarray  # (d,) int64
+    offsets: np.ndarray  # (d, 3) length units
+    axes: np.ndarray  # (d, 3) unit axes in the reference configuration
+    bounds_min: np.ndarray  # (d,) rad
+    bounds_max: np.ndarray  # (d,) rad
+    lmk_joint: np.ndarray  # (N,) int64, deepest parent joint
+    lmk_local: np.ndarray  # (N, 3)
+    ancestry: np.ndarray  # (d, N) bool, joint j moves landmark i
 
     @property
     def dof(self) -> int:
-        return len(self.joints)
+        return self.parents.size
 
     @property
     def n_landmarks(self) -> int:
-        return len(self.landmarks)
+        return self.lmk_joint.size
 
 
 @dataclass(frozen=True)
@@ -77,37 +62,6 @@ class Pose:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-
-
-def _freeze_arrays(name, joints, landmarks):
-    d = len(joints)
-    n = len(landmarks)
-    parents = np.array([j.parent for j in joints], dtype=np.int64)
-    offsets = np.array([j.offset for j in joints], dtype=float)
-    axes = np.array([j.axis for j in joints], dtype=float)
-    bmin = np.array([j.bound_min for j in joints], dtype=float)
-    bmax = np.array([j.bound_max for j in joints], dtype=float)
-    lmk_joint = np.array([l.joint for l in landmarks], dtype=np.int64)
-    lmk_local = np.array([l.local for l in landmarks], dtype=float)
-    ancestry = np.zeros((d, n), dtype=np.bool_)
-    for i, l in enumerate(landmarks):
-        j = l.joint
-        while j >= 0:
-            ancestry[j, i] = True
-            j = joints[j].parent
-    return Skeleton(
-        name=name,
-        joints=tuple(joints),
-        landmarks=tuple(landmarks),
-        parents=parents,
-        offsets=offsets,
-        axes=axes,
-        bounds_min=bmin,
-        bounds_max=bmax,
-        lmk_joint=lmk_joint,
-        lmk_local=lmk_local,
-        ancestry=ancestry,
-    )
 
 
 def load_skeleton(config_text: str) -> Skeleton:
@@ -128,28 +82,25 @@ def load_skeleton(config_text: str) -> Skeleton:
     except (KeyError, TypeError) as e:
         raise SkeletonError(f"missing config section: {e}") from e
 
-    seen_ids = set()
-    expanded: list[JointSpec] = []
+    names, parents, offsets, axes, lows, highs = [], [], [], [], [], []
     last_sub: dict[int, int] = {}  # config joint id -> last expanded index
     n_roots = 0
     for rj in raw_joints:
         jid = rj["id"]
-        if jid in seen_ids:
+        if jid in last_sub:
             raise SkeletonError(f"duplicate joint id {jid}")
-        seen_ids.add(jid)
         parent = rj["parent"]
         if parent == jid:
             raise SkeletonError(f"cycle detected: joint {jid} is its own parent")
         if parent == -1:
             n_roots += 1
             parent_idx = -1
+        elif parent not in last_sub:
+            raise SkeletonError(
+                f"joint {jid} references parent {parent} not declared earlier"
+            )
         else:
-            if parent not in last_sub:
-                raise SkeletonError(
-                    f"joint {jid} references parent {parent} not declared earlier"
-                )
             parent_idx = last_sub[parent]
-        offset = np.asarray(rj["offset"], dtype=float)
         dofs = rj.get("dof", [])
         if not dofs:
             raise SkeletonError(f"joint {jid} has no degrees of freedom")
@@ -165,43 +116,46 @@ def load_skeleton(config_text: str) -> Skeleton:
             if lo > hi:
                 raise SkeletonError(f"joint {jid}: min bound exceeds max bound")
             sub_name = rj.get("name", f"joint{jid}")
-            if len(dofs) > 1:
-                sub_name = f"{sub_name}.{k}"
-            expanded.append(
-                JointSpec(
-                    id=len(expanded),
-                    name=sub_name,
-                    parent=parent_idx if k == 0 else len(expanded) - 1,
-                    offset=offset if k == 0 else np.zeros(3),
-                    axis=axis,
-                    bound_min=lo,
-                    bound_max=hi,
-                )
-            )
-        last_sub[jid] = len(expanded) - 1
+            # a multi-DoF joint becomes a chain of sub-joints; all but the
+            # first sit at zero offset from their predecessor
+            names.append(f"{sub_name}.{k}" if len(dofs) > 1 else sub_name)
+            parents.append(parent_idx if k == 0 else len(parents) - 1)
+            offsets.append(rj["offset"] if k == 0 else np.zeros(3))
+            axes.append(axis)
+            lows.append(lo)
+            highs.append(hi)
+        last_sub[jid] = len(parents) - 1
     if n_roots != 1:
         raise SkeletonError(f"expected exactly one root joint, found {n_roots}")
 
-    landmarks: list[LandmarkSpec] = []
-    lmk_ids = set()
+    placed: dict[int, tuple] = {}  # landmark id -> (expanded joint, local)
     for rl in raw_landmarks:
         lid = rl["id"]
-        if lid in lmk_ids:
+        if lid in placed:
             raise SkeletonError(f"duplicate landmark id {lid}")
-        lmk_ids.add(lid)
         if rl["joint"] not in last_sub:
             raise SkeletonError(f"landmark {lid} references unknown joint {rl['joint']}")
-        landmarks.append(
-            LandmarkSpec(
-                id=lid,
-                joint=last_sub[rl["joint"]],
-                local=np.asarray(rl["local"], dtype=float),
-            )
-        )
-    if lmk_ids != set(range(len(landmarks))):
+        placed[lid] = (last_sub[rl["joint"]], rl["local"])
+    if placed.keys() != set(range(len(placed))):
         raise SkeletonError("landmark ids must be contiguous from 0")
-    landmarks.sort(key=lambda l: l.id)
-    return _freeze_arrays(name, expanded, landmarks)
+    lmk_joint = [placed[i][0] for i in range(len(placed))]
+    ancestry = np.zeros((len(parents), len(placed)), dtype=np.bool_)
+    for i, j in enumerate(lmk_joint):
+        while j >= 0:
+            ancestry[j, i] = True
+            j = parents[j]
+    return Skeleton(
+        name=name,
+        joint_names=tuple(names),
+        parents=np.array(parents, dtype=np.int64),
+        offsets=np.array(offsets, dtype=float),
+        axes=np.array(axes, dtype=float),
+        bounds_min=np.array(lows, dtype=float),
+        bounds_max=np.array(highs, dtype=float),
+        lmk_joint=np.array(lmk_joint, dtype=np.int64),
+        lmk_local=np.array([placed[i][1] for i in range(len(placed))], dtype=float),
+        ancestry=ancestry,
+    )
 
 
 def default_skeleton() -> Skeleton:

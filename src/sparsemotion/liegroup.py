@@ -48,13 +48,6 @@ class RigidTransform:
             self.rotation @ other.translation + self.translation,
         )
 
-    def inverse(self) -> "RigidTransform":
-        Rt = self.rotation.T
-        return RigidTransform(Rt, -Rt @ self.translation)
-
-    def apply(self, p) -> np.ndarray:
-        return self.rotation @ np.asarray(p, dtype=float) + self.translation
-
     def matrix(self) -> np.ndarray:
         T = np.eye(4)
         T[:3, :3] = self.rotation

@@ -19,15 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .camera import SystemMatrices, reduce_system
-from .solvers import Support
-
-
-class BudgetExceededError(ValueError):
-    """Exact enumeration too large for the requested budget."""
-
-
-class LpFailureError(RuntimeError):
-    """The LP solver failed on a sign-pattern subproblem."""
+from .solvers import BudgetExceededError, SolverError, Support
 
 
 class InvalidCounterexampleError(ValueError):
@@ -102,7 +94,7 @@ def _sign_pattern_lp(Z, on_idx, off_idx, signs):
     if res.status == 2:  # infeasible: no such sign pattern in the subspace
         return None
     if not res.success:
-        raise LpFailureError(f"LP failed: {res.message}")
+        raise SolverError(f"sign-pattern LP failed: {res.message}")
     value = 1.0 - 2.0 * res.fun
     v = Z @ res.x[:k]
     return value, v

@@ -30,8 +30,8 @@ _TERMINATION = {
 _LP_FEAS_TOL = 1e-7  # HiGHS's default primal feasibility tolerance
 
 
-class EnumerationBudgetError(ValueError):
-    """Support enumeration too large for the brute-force oracle."""
+class BudgetExceededError(ValueError):
+    """Support or sign-pattern enumeration too large for its budget."""
 
 
 class NoFeasibleSupportError(ValueError):
@@ -39,7 +39,7 @@ class NoFeasibleSupportError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """HiGHS ended a basis-pursuit LP with a status that yields no estimate."""
+    """HiGHS ended an LP with a status that yields no result."""
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def solve_l0_oracle(sys: SystemMatrices, y, s_max: int, feas_tol: float = 1e-8):
     yv = _observation_vector(sys, y)
     d = sys.B.shape[1]
     if s_max > 4 and d > 16:
-        raise EnumerationBudgetError(
+        raise BudgetExceededError(
             f"enumeration of supports up to size {s_max} in dimension {d} exceeds budget"
         )
     ynorm = np.linalg.norm(yv)

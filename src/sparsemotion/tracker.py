@@ -63,10 +63,13 @@ class FrameResult:
 
 
 def render_frame(skel: Skeleton, pose: Pose, cam: CameraModel, frame_index: int) -> LandmarkFrame:
-    """Project the model landmarks to a fully visible pixel-space frame."""
+    """Project the model landmarks to a pixel-space frame.  Landmarks out of
+    view (camera.in_view) are flagged invisible at pixel (0, 0)."""
     _, _, pts = fk_arrays(skel, pose)
-    uv = cam.to_pixels(project(pts, cam))
-    return LandmarkFrame(frame_index, uv, np.ones(len(pts), dtype=bool))
+    visible = in_view(pts, np.ones(len(pts), dtype=bool), cam)
+    uv = np.zeros((len(pts), 2))
+    uv[visible] = cam.to_pixels(project(pts[visible], cam))
+    return LandmarkFrame(frame_index, uv, visible)
 
 
 def differential_observation(prev: LandmarkFrame, curr: LandmarkFrame, cam: CameraModel):

@@ -123,6 +123,15 @@ class TestSolveFrame:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    def test_l0_enumeration_budget_exit_code(self, paths, capsys):
+        """A refused enumeration is a resource limit, as in pksp-check."""
+        code = run(["solve-frame", *base_args(paths),
+                    "--observation", paths["obs"], "--solver", "l0",
+                    "--l0-max-support", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "exceeds budget" in err
+
     def test_missing_file(self, paths, capsys):
         code = run(["solve-frame", *base_args(paths),
                     "--observation", "/nonexistent.json"])
@@ -345,6 +354,29 @@ class TestTrack:
         assert [line.get("frame") for line in lines[:-1]] == [0, 1, 2]
         assert not any(line["skipped"] for line in lines[:-1])
         assert lines[-1]["summary"] and lines[-1]["frames"] == 3
+
+    def test_initial_pose_below_min_depth(self, paths, tmp_path, capsys):
+        """The initial pose puts one landmark nearer than the camera's
+        min_depth: tracking starts without it and solves every frame."""
+        pose = paths["pose_obj"]
+        _, _, pts = fk_arrays(paths["skel_obj"], pose)
+        z = np.sort(pts[:, 2])
+        near = tmp_path / "near_camera.json"
+        near.write_text(json.dumps({"focal_px": 1145.0,
+                                    "min_depth": (z[0] + z[1]) / 2}))
+        lm_path = tmp_path / "landmarks.csv"
+        lm_path.write_text(landmark_csv(paths, [
+            Pose(pose.camera_to_root, pose.theta + (k + 1) * paths["omega"])
+            for k in range(3)]))
+        out_path = tmp_path / "track.jsonl"
+        code = run(["track", "--skeleton", paths["skel"],
+                    "--camera", str(near), "--init-pose", paths["pose"],
+                    "--landmarks", str(lm_path), "--out", str(out_path)])
+        capsys.readouterr()
+        assert code == 0
+        lines = [json.loads(x) for x in out_path.read_text().splitlines()]
+        assert [line.get("frame") for line in lines[:-1]] == [0, 1, 2]
+        assert not any(line["skipped"] for line in lines[:-1])
 
     def test_bad_landmark_csv(self, paths, tmp_path, capsys):
         lm_path = tmp_path / "bad.csv"

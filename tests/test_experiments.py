@@ -185,7 +185,7 @@ class TestPoseErrors:
     def test_positive_for_perturbed_pose(self, skel40, skel40_pose):
         theta = skel40_pose.theta.copy()
         # bend a knee: a mid-chain joint moves every joint below it
-        knee = [j.id for j in skel40.joints if j.name == "right_knee"][0]
+        knee = skel40.joint_names.index("right_knee")
         theta[knee] += 0.3
         other = Pose(skel40_pose.camera_to_root, theta)
         assert mpjpe(skel40, other, skel40_pose) > 0

@@ -76,23 +76,118 @@ class TestLoadSkeleton:
         with pytest.raises(SkeletonError, match="parent"):
             load_skeleton(json.dumps(cfg))
 
+    def test_duplicate_landmark_id(self):
+        cfg = json.loads(arm_config())
+        cfg["landmarks"][1]["id"] = 2
+        with pytest.raises(SkeletonError, match="duplicate landmark id 2"):
+            load_skeleton(json.dumps(cfg))
+
+    def test_landmark_ids_not_contiguous(self):
+        cfg = json.loads(arm_config())
+        cfg["landmarks"][3]["id"] = 7
+        with pytest.raises(SkeletonError, match="contiguous"):
+            load_skeleton(json.dumps(cfg))
+
     def test_parse_failure(self):
         with pytest.raises(SkeletonError, match="parse"):
             load_skeleton("{not json")
 
     def test_multi_dof_expansion_order(self):
         skel = default_skeleton()
-        hip = [j for j in skel.joints if j.name.startswith("hip")]
-        assert [j.name for j in hip] == ["hip.0", "hip.1", "hip.2"]
+        hip = [j for j, n in enumerate(skel.joint_names) if n.startswith("hip")]
+        assert [skel.joint_names[j] for j in hip] == ["hip.0", "hip.1", "hip.2"]
         # declared z, x, y rotation order
-        np.testing.assert_allclose(hip[0].axis, [0, 0, 1])
-        np.testing.assert_allclose(hip[1].axis, [1, 0, 0])
-        np.testing.assert_allclose(hip[2].axis, [0, 1, 0])
+        np.testing.assert_allclose(skel.axes[hip[0]], [0, 0, 1])
+        np.testing.assert_allclose(skel.axes[hip[1]], [1, 0, 0])
+        np.testing.assert_allclose(skel.axes[hip[2]], [0, 1, 0])
 
     def test_degrees_converted_to_radians(self):
         skel = load_skeleton(single_joint_config())
         assert abs(skel.bounds_min[0] + math.pi) < 1e-12
         assert abs(skel.bounds_max[0] - math.pi) < 1e-12
+
+
+def arm_config():
+    """6-DoF rig: a root, a 3-DoF shoulder, an elbow and a neck.  The
+    shoulder's first axis and the elbow's axis are not unit length, the
+    landmarks are listed out of id order, and landmark 0 is on the shoulder."""
+    def dof(axis, lo, hi):
+        return dict(axis=axis, min_deg=lo, max_deg=hi)
+    return json.dumps(dict(
+        name="arm",
+        joints=[
+            dict(id=0, name="root", parent=-1, offset=[0, 0, 0],
+                 dof=[dof([0, 0, 1], -180, 180)]),
+            dict(id=1, name="shoulder", parent=0, offset=[0.5, 0, 0],
+                 dof=[dof([0, 0, 2], -90, 90), dof([1, 0, 0], -45, 45),
+                      dof([0, 1, 0], -30, 60)]),
+            dict(id=2, name="elbow", parent=1, offset=[0.3, 0, 0],
+                 dof=[dof([0, 3, 4], 0, 150)]),
+            dict(id=3, name="neck", parent=0, offset=[0, 0.2, 0],
+                 dof=[dof([1, 0, 0], -20, 20)]),
+        ],
+        landmarks=[
+            dict(id=2, joint=2, local=[0.25, 0, 0]),
+            dict(id=0, joint=1, local=[0.1, 0, 0]),
+            dict(id=1, joint=3, local=[0, 0.1, 0]),
+            dict(id=3, joint=0, local=[0, 0, 0.1]),
+        ],
+    ))
+
+
+class TestSkeletonArrays:
+    """load_skeleton's arrays, entry by entry, on arm_config."""
+
+    @pytest.fixture(scope="class")
+    def arm(self):
+        return load_skeleton(arm_config())
+
+    def test_joint_names_expand_multi_dof(self, arm):
+        assert arm.name == "arm"
+        assert arm.joint_names == ("root", "shoulder.0", "shoulder.1",
+                                   "shoulder.2", "elbow", "neck")
+        assert (arm.dof, arm.n_landmarks) == (6, 4)
+
+    def test_sub_joints_chain_at_zero_offset(self, arm):
+        assert arm.parents.dtype == np.int64
+        np.testing.assert_array_equal(arm.parents, [-1, 0, 1, 2, 3, 0])
+        assert arm.offsets.dtype == np.float64
+        np.testing.assert_array_equal(arm.offsets, [
+            [0, 0, 0], [0.5, 0, 0], [0, 0, 0], [0, 0, 0], [0.3, 0, 0],
+            [0, 0.2, 0]])
+
+    def test_axes_normalized(self, arm):
+        assert arm.axes.dtype == np.float64
+        np.testing.assert_array_equal(arm.axes, [
+            [0, 0, 1], [0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0.6, 0.8],
+            [1, 0, 0]])
+
+    def test_bounds_in_radians(self, arm):
+        lo = [-180, -90, -45, -30, 0, -20]
+        hi = [180, 90, 45, 60, 150, 20]
+        np.testing.assert_array_equal(arm.bounds_min,
+                                      [math.radians(a) for a in lo])
+        np.testing.assert_array_equal(arm.bounds_max,
+                                      [math.radians(a) for a in hi])
+
+    def test_landmarks_placed_by_id(self, arm):
+        """Landmark 0 sits on the shoulder, so on its last sub-joint (3)."""
+        assert arm.lmk_joint.dtype == np.int64
+        np.testing.assert_array_equal(arm.lmk_joint, [3, 5, 4, 0])
+        assert arm.lmk_local.dtype == np.float64
+        np.testing.assert_array_equal(arm.lmk_local, [
+            [0.1, 0, 0], [0, 0.1, 0], [0.25, 0, 0], [0, 0, 0.1]])
+
+    def test_ancestry(self, arm):
+        assert arm.ancestry.dtype == np.bool_
+        np.testing.assert_array_equal(arm.ancestry, [
+            [1, 1, 1, 1],
+            [1, 0, 1, 0],
+            [1, 0, 1, 0],
+            [1, 0, 1, 0],
+            [0, 0, 1, 0],
+            [0, 1, 0, 0],
+        ])
 
 
 class TestForwardKinematics:
@@ -133,17 +228,16 @@ class TestForwardKinematics:
         _, _, pts = fk_arrays(skel40, pose)
 
         mats = {}
-        for j, js in enumerate(skel40.joints):
-            parent = pose.camera_to_root.matrix() if js.parent == -1 \
-                else mats[js.parent]
+        for j, p in enumerate(skel40.parents):
+            parent = pose.camera_to_root.matrix() if p == -1 else mats[p]
             off = np.eye(4)
-            off[:3, 3] = js.offset
-            rot = exp_twist(Twist(angular=js.axis, linear=np.zeros(3)),
+            off[:3, 3] = skel40.offsets[j]
+            rot = exp_twist(Twist(angular=skel40.axes[j], linear=np.zeros(3)),
                             theta[j]).matrix()
             mats[j] = parent @ off @ rot
-        for lm in skel40.landmarks:
-            hom = mats[lm.joint] @ np.append(lm.local, 1.0)
-            np.testing.assert_allclose(pts[lm.id], hom[:3], atol=1e-12)
+        for i, (j, local) in enumerate(zip(skel40.lmk_joint, skel40.lmk_local)):
+            hom = mats[j] @ np.append(local, 1.0)
+            np.testing.assert_allclose(pts[i], hom[:3], atol=1e-12)
 
     def test_root_transform_is_camera_to_root(self, toy8):
         pose = Pose(RigidTransform(np.eye(3), np.array([0.0, 0, 3])),
@@ -163,13 +257,12 @@ class TestArticulatedJacobian:
         pose = in_bounds_pose(skel40, rng)
         J = articulated_jacobian(skel40, pose)
         # independent ancestry reconstruction from the joint tree
-        for lm in skel40.landmarks:
+        for i, j in enumerate(skel40.lmk_joint):
             chain = set()
-            j = lm.joint
             while j != -1:
                 chain.add(j)
-                j = skel40.joints[j].parent
-            rows = J[3 * lm.id : 3 * lm.id + 3]
+                j = skel40.parents[j]
+            rows = J[3 * i : 3 * i + 3]
             for col in range(skel40.dof):
                 if col not in chain:
                     np.testing.assert_array_equal(rows[:, col], 0)
@@ -256,14 +349,14 @@ class TestClampAngles:
         np.testing.assert_array_equal(clamp_angles(theta, skel40), theta)
 
     def test_right_knee_clamped_to_150_degrees(self, skel40):
-        idx = [j.id for j in skel40.joints if j.name == "right_knee"][0]
+        idx = skel40.joint_names.index("right_knee")
         theta = np.zeros(skel40.dof)
         theta[idx] = math.radians(170.0)
         out = clamp_angles(theta, skel40)
         assert abs(out[idx] - math.radians(150.0)) < 1e-12
 
     def test_right_elbow_clamped_to_zero(self, skel40):
-        idx = [j.id for j in skel40.joints if j.name == "right_elbow"][0]
+        idx = skel40.joint_names.index("right_elbow")
         theta = np.zeros(skel40.dof)
         theta[idx] = math.radians(10.0)
         out = clamp_angles(theta, skel40)

@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from sparsemotion import pksp, solvers
 from sparsemotion.pksp import (
     BudgetExceededError,
     InvalidCounterexampleError,
@@ -12,7 +14,7 @@ from sparsemotion.pksp import (
     check_pksp_order,
 )
 from sparsemotion.camera import RankDeficientError
-from sparsemotion.solvers import Support
+from sparsemotion.solvers import SolverError, Support
 
 
 def line_basis(v):
@@ -38,7 +40,7 @@ class TestAmbiguityNullspace:
         Z = ambiguity_nullspace(skel40_system.A, skel40_system.B)
         for j in (0, 1, 2):
             # the three root rotations sit at the body origin: zero offsets
-            np.testing.assert_array_equal(skel40.joints[j].offset, 0)
+            np.testing.assert_array_equal(skel40.offsets[j], 0)
             e = np.zeros(40)
             e[j] = 1.0
             resid = e - Z @ (Z.T @ e)
@@ -128,6 +130,19 @@ class TestCheckPkspExact:
         Z = np.eye(20)[:, :2]
         with pytest.raises(BudgetExceededError):
             check_pksp(Z, tuple(range(13)))
+
+    def test_budget_error_is_the_solvers_class(self):
+        assert BudgetExceededError is solvers.BudgetExceededError
+
+    def test_unexpected_lp_status_raises(self, toy12_system, monkeypatch):
+        """A HiGHS status that is neither optimal nor infeasible decides
+        nothing, so no verdict is returned."""
+        monkeypatch.setattr(
+            pksp, "linprog",
+            lambda *a, **k: OptimizeResult(status=4, success=False,
+                                           message="numerical"))
+        with pytest.raises(SolverError, match="numerical"):
+            check_pksp(toy12_system.reduction.null_space, (1, 2))
 
     def test_root_singleton_never_certified(self, skel40_system):
         Z = skel40_system.reduction.null_space

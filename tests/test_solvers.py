@@ -11,8 +11,8 @@ from sparsemotion.experiments import (
     synthesize_observation,
 )
 from sparsemotion.solvers import (
+    BudgetExceededError,
     DifferentialMotion,
-    EnumerationBudgetError,
     NoFeasibleSupportError,
     SolveOptions,
     SolverError,
@@ -310,7 +310,7 @@ class TestL0Oracle:
         assert supp.indices == ()
 
     def test_budget_guard(self, skel40_system):
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(BudgetExceededError):
             solve_l0_oracle(skel40_system, np.zeros(26), s_max=5)
 
     def test_infeasible_raises(self, toy12, cam1145):

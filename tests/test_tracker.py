@@ -51,6 +51,20 @@ class TestRenderAndDifferential:
         assert frame.uv.shape == (13, 2)
         assert frame.visible.all()
 
+    def test_initial_state_leaves_out_landmark_below_min_depth(
+            self, skel40, cam1145, skel40_pose):
+        """A landmark nearer than the camera's min_depth at the initial pose
+        is flagged invisible; the others render as with every landmark in
+        view."""
+        _, _, pts = fk_arrays(skel40, skel40_pose)
+        z = np.sort(pts[:, 2])
+        keep = pts[:, 2] > z[0]
+        near = CameraModel(focal=cam1145.focal, min_depth=(z[0] + z[1]) / 2)
+        frame = make_initial_state(skel40, skel40_pose, near).last_frame
+        full = render_frame(skel40, skel40_pose, cam1145, -1)
+        np.testing.assert_array_equal(frame.visible, keep)
+        np.testing.assert_array_equal(frame.uv[keep], full.uv[keep])
+
     def test_differential_matches_linear_model_to_first_order(
             self, skel40, cam1145, skel40_pose):
         from sparsemotion.camera import assemble_system
