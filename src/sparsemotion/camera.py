@@ -14,7 +14,6 @@ import numpy as np
 
 from .kinematics import Pose, Skeleton, fk_arrays, jacobian_from_fk, rigid_jacobian
 
-_COLLINEAR_TOL = 1e-6
 RANK_TOL = 1e-10  # singular values at or below this share of the largest count as zero
 
 
@@ -152,25 +151,16 @@ def stacked_projection_kernel(points, min_depth: float = 1e-3) -> np.ndarray:
     return K.reshape(3 * n, n)
 
 
-def are_collinear(points, tol: float = _COLLINEAR_TOL) -> bool:
-    """Scale-free collinearity test on 3D points via second singular value."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[0] == 0.0:
-        return True
-    return sv[1] / sv[0] <= tol
-
-
 def assemble_system(
     skel: Skeleton, pose: Pose, cam: CameraModel, visible=None
 ) -> SystemMatrices:
     """Assemble A = M Gamma (2N'x6) and B = M J (2N'xd) over the landmarks in
     view (in_view): a landmark nearer than cam.min_depth has no rows.
 
-    Requires at least 3 such landmarks, not collinear; their rows guarantee
-    a trivial null space for A, which reduce_system checks numerically
-    (RankDeficientError).
+    Requires at least 3 such landmarks (else AssemblyError).  A needs them
+    not collinear as well: a rotation about their common line moves none of
+    them, so reduce_system finds A rank deficient and raises
+    RankDeficientError.
     """
     n = skel.n_landmarks
     if visible is None:
@@ -183,8 +173,6 @@ def assemble_system(
     if idx.size < 3:
         raise AssemblyError(f"only {idx.size} visible landmarks, need at least 3")
     vpts = pts[idx]
-    if are_collinear(vpts):
-        raise AssemblyError("visible landmarks are collinear")
     J = jacobian_from_fk(skel, R, t, pts)
     G = rigid_jacobian(pts)
     rows3 = (3 * idx[:, None] + np.arange(3)).ravel()
@@ -199,20 +187,20 @@ def assemble_system(
     )
 
 
-def reduce_system(A, B, rank_tol: float = RANK_TOL) -> RigidReduction:
+def reduce_system(A, B) -> RigidReduction:
     """Factor y = A rho + B w once for every solver and certificate.
 
     Takes the thin SVD of A, whose singular values must all exceed
-    rank_tol * sigma_max (else RankDeficientError), and the full SVD of
+    RANK_TOL * sigma_max (else RankDeficientError), and the full SVD of
     Btilde = (I - QQ^T) B, whose singular values at or below
-    rank_tol * max(sigma_max, 1) count as zero.
+    RANK_TOL * max(sigma_max, 1) count as zero.
     """
     Q, rigid_sv, rigid_vt = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
-    if rigid_sv[-1] <= rank_tol * rigid_sv[0]:
+    if rigid_sv[-1] <= RANK_TOL * rigid_sv[0]:
         raise RankDeficientError("rigid Jacobian block is rank deficient")
     B = np.asarray(B, dtype=float)
     U, sv, Vt = np.linalg.svd(B - Q @ (Q.T @ B), full_matrices=True)
-    cut = rank_tol * max(sv[0], 1.0)
+    cut = RANK_TOL * max(sv[0], 1.0)
     r = int(np.sum(sv > cut))
     U = np.ascontiguousarray(U[:, :r])  # a copy, so the full U is freed
     return RigidReduction(Q, rigid_sv, rigid_vt, U, sv[:r], Vt)

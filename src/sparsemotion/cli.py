@@ -8,7 +8,8 @@ at the CLI boundary, radians internally.
 pksp-check proves every verdict by exact sign-pattern LPs.  A --support may
 hold at most 12 distinct DoFs, and --budget caps the comb(d, s) * 2^s
 enumerations of --order s; past either limit it exits 2, as solve-frame
---solver l0 does past the oracle's enumeration budget.
+--solver l0 does past the oracle's enumeration budget, and as any command
+does when HiGHS ends an LP with no result (SolverError).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .camera import CameraModel, assemble_system
 from .experiments import run_sweep, sample_pose, write_results_csv, write_trials_jsonl
 from .kinematics import SkeletonError, load_skeleton
 from .pksp import check_pksp, check_pksp_order
-from .solvers import SUPPORT_EPSILON, BudgetExceededError, SolveOptions, Support
+from .solvers import SUPPORT_EPSILON, BudgetExceededError, SolveOptions, SolverError, Support
 from .solvers import extract_support, solve_l0_oracle, solve_l2, solve_rf
 from .tracker import (
     SequenceError,
@@ -327,7 +328,7 @@ def run(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except BudgetExceededError as e:
+    except (BudgetExceededError, SolverError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as e:

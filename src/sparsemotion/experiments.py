@@ -25,7 +25,6 @@ _DEG = math.pi / 180.0
 class TrialConfig:
     support_size: int
     noise_std_px: float
-    trials: int = 1
     magnitude_range: tuple[float, float] = (0.5 * _DEG, 5.0 * _DEG)  # rad
     rigid_scale: float = 1e-3
 
@@ -34,40 +33,20 @@ class TrialConfig:
             raise ValueError("support size must be nonnegative")
         if self.noise_std_px < 0:
             raise ValueError("noise std must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         lo, hi = self.magnitude_range
         if not (0 < lo <= hi <= 5.0 * _DEG + 1e-12):
             raise ValueError("magnitude range must satisfy 0 < min <= max <= 5 deg")
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    solver: str
-    accuracy: float
-    specificity: float
-    sensitivity: float
-    omega_err_inf: float
-    rho_err_inf: float
-    mpjpe: float
-    iterations: int = 0
-    converged: bool = True
-
-
-def sample_pose(
-    skel: Skeleton,
-    rng,
-    translation=(0.0, 0.0, 3.0),
-    min_landmark_depth: float = 0.5,
-    max_tries: int = 1000,
-) -> Pose:
-    """Uniform draw within joint bounds, rejecting poses with shallow landmarks."""
-    Tc = RigidTransform(np.eye(3), np.asarray(translation, dtype=float))
-    for _ in range(max_tries):
+def sample_pose(skel: Skeleton, rng) -> Pose:
+    """Uniform draw within joint bounds with the root at (0, 0, 3), rejecting
+    poses with a landmark at depth <= 0.5; gives up after 1000 draws."""
+    Tc = RigidTransform(np.eye(3), np.array([0.0, 0.0, 3.0]))
+    for _ in range(1000):
         theta = rng.uniform(skel.bounds_min, skel.bounds_max)
         pose = Pose(Tc, theta)
         _, _, pts = fk_arrays(skel, pose)
-        if np.all(pts[:, 2] > min_landmark_depth):
+        if np.all(pts[:, 2] > 0.5):
             return pose
     raise RuntimeError("could not sample a pose with valid landmark depths")
 
@@ -129,12 +108,11 @@ def synthesize_observation(
     return y
 
 
-def support_metrics(omega_hat, omega_true, epsilon: float = SUPPORT_EPSILON):
-    """Confusion-matrix rates with positive = nonzero motion; 0/0 -> 1."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    oh = np.abs(np.asarray(omega_hat, dtype=float)) > epsilon
-    ot = np.abs(np.asarray(omega_true, dtype=float)) > epsilon
+def support_metrics(omega_hat, omega_true):
+    """(accuracy, specificity, sensitivity) with positive = |rate| above
+    SUPPORT_EPSILON; 0/0 -> 1."""
+    oh = np.abs(np.asarray(omega_hat, dtype=float)) > SUPPORT_EPSILON
+    ot = np.abs(np.asarray(omega_true, dtype=float)) > SUPPORT_EPSILON
     if oh.shape != ot.shape:
         raise ValueError("dimension mismatch")
     tp = np.sum(oh & ot)
@@ -166,9 +144,13 @@ def run_trial(
     solver_names=("rf", "l2"),
     opts: SolveOptions | None = None,
     visible=None,
-    epsilon: float = SUPPORT_EPSILON,
-) -> dict[str, TrialResult]:
-    """One synthesis + solve + metrics pass; returns results keyed by solver."""
+) -> dict[str, dict]:
+    """One synthesis + solve + metrics pass; returns {solver: record}.
+
+    A record holds solver, accuracy, specificity, sensitivity (support
+    metrics), omega_err_inf, rho_err_inf, mpjpe, iterations and converged,
+    in that order; l2 reports 0 iterations and converged.
+    """
     # box on by default: noisy equality solves are only meaningful with the
     # +-5 deg clamp on differential angles
     opts = opts or SolveOptions(
@@ -189,21 +171,24 @@ def run_trial(
             est = solve_l2(sys, y)
         else:
             raise ValueError(f"unknown solver {name!r}")
-        acc, spec, sens = support_metrics(est.omega, motion.omega, epsilon)
+        acc, spec, sens = support_metrics(est.omega, motion.omega)
         pose_hat = Pose(pose.camera_to_root, pose.theta + est.omega)
         pose_true = Pose(pose.camera_to_root, pose.theta + motion.omega)
-        out[name] = TrialResult(
-            solver=name,
-            accuracy=acc,
-            specificity=spec,
-            sensitivity=sens,
-            omega_err_inf=float(np.max(np.abs(est.omega - motion.omega))),
-            rho_err_inf=float(np.max(np.abs(est.rho - motion.rho))),
-            mpjpe=mpjpe(skel, pose_hat, pose_true),
-            iterations=iters,
-            converged=conv,
-        )
+        out[name] = {
+            "solver": name,
+            "accuracy": acc,
+            "specificity": spec,
+            "sensitivity": sens,
+            "omega_err_inf": float(np.max(np.abs(est.omega - motion.omega))),
+            "rho_err_inf": float(np.max(np.abs(est.rho - motion.rho))),
+            "mpjpe": mpjpe(skel, pose_hat, pose_true),
+            "iterations": iters,
+            "converged": conv,
+        }
     return out
+
+
+_METRICS = ("accuracy", "specificity", "sensitivity", "omega_err_inf", "rho_err_inf", "mpjpe")
 
 
 def run_sweep(
@@ -218,70 +203,45 @@ def run_sweep(
     magnitude_range: tuple[float, float] = (0.5 * _DEG, 5.0 * _DEG),
     rigid_scale: float = 1e-3,
     opts: SolveOptions | None = None,
-    epsilon: float = SUPPORT_EPSILON,
 ):
-    """Grid sweep over (support size, noise std) cells.
+    """Grid sweep over (support size, noise std) cells, trials >= 1 each.
 
     Each trial draws its RNG stream from (seed, cell, trial), so a trial's
     result does not depend on the others.  Returns (rows, trial_records):
-    aggregated mean/std per cell and solver, plus per-trial dicts.  Each row
-    also counts the cell's trials that raised (``errors``, left out of
+    aggregated mean/std per cell and solver, plus one dict per trial and
+    solver, {cell, s, delta, trial} followed by run_trial's record.  Each
+    row also counts the cell's trials that raised (``errors``, left out of
     ``trials``) and the solver's non-converged solves (``not_converged``).
     A trial that cannot be assembled or solved (AssemblyError,
-    RankDeficientError, RuntimeError) counts as an error; any other
-    exception propagates.
+    RankDeficientError, RuntimeError) is recorded as {cell, s, delta,
+    trial, error}; any other exception propagates.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     visible = None
     if occlude_landmark is not None:
         visible = np.ones(skel.n_landmarks, dtype=bool)
         visible[occlude_landmark] = False
     rows = []
     records = []
-    metric_names = (
-        "accuracy",
-        "specificity",
-        "sensitivity",
-        "omega_err_inf",
-        "rho_err_inf",
-        "mpjpe",
-    )
     for cell_idx, (s, delta) in enumerate(grid):
-        cfg = TrialConfig(
-            support_size=s,
-            noise_std_px=delta,
-            trials=trials,
-            magnitude_range=magnitude_range,
-            rigid_scale=rigid_scale,
-        )
-        per_solver: dict[str, list[TrialResult]] = {n: [] for n in solver_names}
+        cfg = TrialConfig(s, delta, magnitude_range, rigid_scale)
+        per_solver: dict[str, list[dict]] = {n: [] for n in solver_names}
         errors = 0
         for t in range(trials):
             rng = np.random.default_rng((seed, cell_idx, t))
-            pose = poses[t % len(poses)]
+            key = {"cell": cell_idx, "s": s, "delta": delta, "trial": t}
             try:
                 res = run_trial(
-                    skel, pose, cam, cfg, rng, solver_names, opts, visible, epsilon
+                    skel, poses[t % len(poses)], cam, cfg, rng, solver_names, opts, visible
                 )
             except (AssemblyError, RankDeficientError, RuntimeError) as e:
                 errors += 1
-                records.append(
-                    {"cell": cell_idx, "s": s, "delta": delta, "trial": t, "error": str(e)}
-                )
+                records.append({**key, "error": str(e)})
                 continue
             for name, r in res.items():
                 per_solver[name].append(r)
-                records.append(
-                    {
-                        "cell": cell_idx,
-                        "s": s,
-                        "delta": delta,
-                        "trial": t,
-                        "solver": name,
-                        **{m: getattr(r, m) for m in metric_names},
-                        "iterations": r.iterations,
-                        "converged": r.converged,
-                    }
-                )
+                records.append({**key, **r})
         for name in solver_names:
             rs = per_solver[name]
             row = {
@@ -290,10 +250,10 @@ def run_sweep(
                 "solver": name,
                 "trials": len(rs),
                 "errors": errors,
-                "not_converged": sum(not r.converged for r in rs),
+                "not_converged": sum(not r["converged"] for r in rs),
             }
-            for m in metric_names:
-                vals = np.array([getattr(r, m) for r in rs]) if rs else np.array([np.nan])
+            for m in _METRICS:
+                vals = np.array([r[m] for r in rs]) if rs else np.array([np.nan])
                 row[f"{m}_mean"] = float(np.mean(vals))
                 row[f"{m}_std"] = float(np.std(vals))
             rows.append(row)

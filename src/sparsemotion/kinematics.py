@@ -64,12 +64,19 @@ class Pose:
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
 
 
+def _key(entry: dict, key: str, where: str):
+    """entry[key], or a SkeletonError naming the entry and the missing key."""
+    if key not in entry:
+        raise SkeletonError(f"{where}: missing key {key!r}")
+    return entry[key]
+
+
 def load_skeleton(config_text: str) -> Skeleton:
     """Parse a JSON skeleton config and expand multi-DoF joints.
 
     Raises SkeletonError on malformed input: parse failure, cycles,
-    non-unit axes, duplicate ids, inverted bounds, or landmarks referencing
-    unknown joints.
+    non-unit axes, duplicate ids, inverted bounds, missing keys, or
+    landmarks referencing unknown joints.
     """
     try:
         cfg = json.loads(config_text)
@@ -85,11 +92,11 @@ def load_skeleton(config_text: str) -> Skeleton:
     names, parents, offsets, axes, lows, highs = [], [], [], [], [], []
     last_sub: dict[int, int] = {}  # config joint id -> last expanded index
     n_roots = 0
-    for rj in raw_joints:
-        jid = rj["id"]
+    for n, rj in enumerate(raw_joints):
+        jid = _key(rj, "id", f"joint entry {n}")
         if jid in last_sub:
             raise SkeletonError(f"duplicate joint id {jid}")
-        parent = rj["parent"]
+        parent = _key(rj, "parent", f"joint {jid}")
         if parent == jid:
             raise SkeletonError(f"cycle detected: joint {jid} is its own parent")
         if parent == -1:
@@ -105,14 +112,15 @@ def load_skeleton(config_text: str) -> Skeleton:
         if not dofs:
             raise SkeletonError(f"joint {jid} has no degrees of freedom")
         for k, dof in enumerate(dofs):
-            axis = np.asarray(dof["axis"], dtype=float)
+            where = f"joint {jid} dof {k}"
+            axis = np.asarray(_key(dof, "axis", where), dtype=float)
             nrm = np.linalg.norm(axis)
             if abs(nrm - 1.0) > _AXIS_TOL:
                 if nrm < _AXIS_TOL:
                     raise SkeletonError(f"joint {jid}: zero rotation axis")
                 axis = axis / nrm
-            lo = math.radians(dof["min_deg"])
-            hi = math.radians(dof["max_deg"])
+            lo = math.radians(_key(dof, "min_deg", where))
+            hi = math.radians(_key(dof, "max_deg", where))
             if lo > hi:
                 raise SkeletonError(f"joint {jid}: min bound exceeds max bound")
             sub_name = rj.get("name", f"joint{jid}")
@@ -120,7 +128,7 @@ def load_skeleton(config_text: str) -> Skeleton:
             # first sit at zero offset from their predecessor
             names.append(f"{sub_name}.{k}" if len(dofs) > 1 else sub_name)
             parents.append(parent_idx if k == 0 else len(parents) - 1)
-            offsets.append(rj["offset"] if k == 0 else np.zeros(3))
+            offsets.append(_key(rj, "offset", f"joint {jid}") if k == 0 else np.zeros(3))
             axes.append(axis)
             lows.append(lo)
             highs.append(hi)
@@ -129,13 +137,14 @@ def load_skeleton(config_text: str) -> Skeleton:
         raise SkeletonError(f"expected exactly one root joint, found {n_roots}")
 
     placed: dict[int, tuple] = {}  # landmark id -> (expanded joint, local)
-    for rl in raw_landmarks:
-        lid = rl["id"]
+    for n, rl in enumerate(raw_landmarks):
+        lid = _key(rl, "id", f"landmark entry {n}")
         if lid in placed:
             raise SkeletonError(f"duplicate landmark id {lid}")
-        if rl["joint"] not in last_sub:
-            raise SkeletonError(f"landmark {lid} references unknown joint {rl['joint']}")
-        placed[lid] = (last_sub[rl["joint"]], rl["local"])
+        joint = _key(rl, "joint", f"landmark {lid}")
+        if joint not in last_sub:
+            raise SkeletonError(f"landmark {lid} references unknown joint {joint}")
+        placed[lid] = (last_sub[joint], _key(rl, "local", f"landmark {lid}"))
     if placed.keys() != set(range(len(placed))):
         raise SkeletonError("landmark ids must be contiguous from 0")
     lmk_joint = [placed[i][0] for i in range(len(placed))]

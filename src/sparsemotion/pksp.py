@@ -21,6 +21,8 @@ from scipy.optimize import linprog
 from .camera import SystemMatrices, reduce_system
 from .solvers import BudgetExceededError, SolverError, Support
 
+_AMBIGUITY_TOL = 1e-9  # build_ambiguous_observation's membership and inequality slack
+
 
 class InvalidCounterexampleError(ValueError):
     """Vector is not a valid ambiguity counterexample for the support."""
@@ -167,7 +169,7 @@ def check_pksp_order(Z: np.ndarray, s: int, budget: int = 2_000_000):
 
 
 def build_ambiguous_observation(
-    sys: SystemMatrices, counterexample, F: Support | tuple, tol: float = 1e-9
+    sys: SystemMatrices, counterexample, F: Support | tuple
 ) -> AmbiguousObservation:
     """Instantiate the failure construction for a non-certified support.
 
@@ -184,11 +186,11 @@ def build_ambiguous_observation(
         raise InvalidCounterexampleError("counterexample is zero")
     Z = sys.reduction.null_space
     resid = v - Z @ (Z.T @ v)
-    if np.linalg.norm(resid) > tol * max(np.linalg.norm(v), 1.0) * 1e3:
+    if np.linalg.norm(resid) > _AMBIGUITY_TOL * max(np.linalg.norm(v), 1.0) * 1e3:
         raise InvalidCounterexampleError("vector is not in the ambiguity subspace")
     on_mask = np.zeros(v.shape[0], dtype=bool)
     on_mask[on_idx] = True
-    if np.sum(np.abs(v[on_mask])) < np.sum(np.abs(v[~on_mask])) - tol:
+    if np.sum(np.abs(v[on_mask])) < np.sum(np.abs(v[~on_mask])) - _AMBIGUITY_TOL:
         raise InvalidCounterexampleError("vector does not violate the support inequality")
     x_on = np.where(on_mask, v, 0.0)
     x_off = np.where(on_mask, 0.0, -v)
@@ -197,7 +199,7 @@ def build_ambiguous_observation(
     z_off = sys.reduction.rigid_rates(sys.B @ v)
     y = sys.B @ x_on
     gap = np.linalg.norm(sys.A @ z_off + sys.B @ x_off - y)
-    if gap > tol * max(np.linalg.norm(y), 1.0) * 1e3:
+    if gap > _AMBIGUITY_TOL * max(np.linalg.norm(y), 1.0) * 1e3:
         raise InvalidCounterexampleError(
             f"decomposition mismatch {gap:.3g}; vector may not be ambiguous"
         )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,14 +8,19 @@ from sparsemotion.camera import (
     AssemblyError,
     CameraModel,
     DepthError,
-    are_collinear,
+    RankDeficientError,
     assemble_system,
     project,
     projection_jacobian,
     stacked_projection_blocks,
     stacked_projection_kernel,
 )
-from sparsemotion.kinematics import Pose, articulated_jacobian, rigid_jacobian
+from sparsemotion.kinematics import (
+    Pose,
+    articulated_jacobian,
+    load_skeleton,
+    rigid_jacobian,
+)
 from sparsemotion.liegroup import RigidTransform
 
 from conftest import in_bounds_pose
@@ -120,22 +127,6 @@ class TestStackedBlocks:
             stacked_projection_kernel([[0.0, 0.0, -2.0]])
 
 
-class TestCollinearity:
-    def test_collinear_points(self):
-        pts = np.outer(np.arange(4.0), [1.0, 2.0, 3.0]) + [0, 0, 1]
-        assert are_collinear(pts)
-
-    def test_noncollinear_points(self):
-        assert not are_collinear([[0, 0, 1], [1, 0, 1], [0, 1, 1]])
-
-    def test_scale_free(self):
-        pts = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=float)
-        assert not are_collinear(1e-8 * pts)
-
-    def test_coincident_points_are_collinear(self):
-        assert are_collinear([[1, 1, 1]] * 3)
-
-
 class TestAssembleSystem:
     def test_shapes_and_factorization(self, skel40, cam1145):
         rng = np.random.default_rng(4)
@@ -179,6 +170,24 @@ class TestAssembleSystem:
         visible[[0, 1]] = True
         with pytest.raises(AssemblyError, match="at least 3"):
             assemble_system(skel40, skel40_pose, cam1145, visible=visible)
+
+    def test_collinear_landmarks_rank_deficient(self, cam1145):
+        """Four in-view landmarks on one line leave a rotation about that
+        line unseen; the fifth, off the line, is flagged occluded."""
+        joint = dict(axis=[0, 0, 1], min_deg=-90, max_deg=90)
+        config = dict(
+            joints=[dict(id=0, parent=-1, offset=[0, 0, 0], dof=[joint]),
+                    dict(id=1, parent=0, offset=[0.3, 0, 0], dof=[joint])],
+            landmarks=[dict(id=i, joint=0, local=[0.1 * i, 0.05 * i, 0])
+                       for i in range(4)]
+            + [dict(id=4, joint=1, local=[0, 0.2, 0])])
+        skel = load_skeleton(json.dumps(config))
+        pose = Pose(RigidTransform(np.eye(3), np.array([0.0, 0.0, 3.0])),
+                    np.zeros(2))
+        visible = np.array([True] * 4 + [False])
+        with pytest.raises(RankDeficientError):
+            assemble_system(skel, pose, cam1145, visible=visible)
+        assert assemble_system(skel, pose, cam1145).visible_index.size == 5
 
     def test_behind_camera_landmarks_dropped(self, skel40, cam1145):
         pose = Pose(RigidTransform(np.eye(3), np.array([0.0, 0.0, -5.0])),

@@ -1,9 +1,12 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from sparsemotion import pksp, solvers
 from sparsemotion.camera import CameraModel, assemble_system
 from sparsemotion.cli import run
 from sparsemotion.experiments import sample_pose
@@ -56,6 +59,56 @@ def paths(tmp_path_factory):
 def base_args(paths):
     return ["--skeleton", paths["skel"], "--camera", paths["cam"],
             "--pose", paths["pose"]]
+
+
+def solve_args(paths):
+    return ["solve-frame", *base_args(paths), "--observation", paths["obs"]]
+
+
+def skeleton_without_parent(paths, tmp_path):
+    """The bundled skeleton with "parent" deleted from joint 3."""
+    cfg = json.loads(Path(paths["skel"]).read_text())
+    del cfg["joints"][3]["parent"]
+    path = tmp_path / "no_parent.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, lp_module, code, message", [
+    pytest.param(lambda p, t: ["solve-frame", *base_args(p), "--observation",
+                               str(t / "absent.json")],
+                 None, 1, "cannot read", id="missing-file"),
+    pytest.param(lambda p, t: ["validate-skeleton", "--skeleton",
+                               skeleton_without_parent(p, t)],
+                 None, 1, "joint 3: missing key 'parent'",
+                 id="skeleton-missing-key"),
+    pytest.param(lambda p, t: [*solve_args(p), "--solver", "l0",
+                               "--l0-max-support", "5"],
+                 None, 2, "exceeds budget", id="l0-budget"),
+    pytest.param(lambda p, t: [*solve_args(p), "--solver", "rf"],
+                 solvers, 2, "basis-pursuit LP failed: numerical",
+                 id="rf-lp-status-4"),
+    pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
+                               "12,27"],
+                 pksp, 2, "sign-pattern LP failed: numerical",
+                 id="pksp-lp-status-4"),
+])
+def test_failing_exit(argv, lp_module, code, message, paths, tmp_path, capsys,
+                      monkeypatch):
+    """The failing exits of the CLI contract: 1 for an input error, 2 for a
+    resource or convergence failure (here HiGHS status 4, numerical
+    trouble, planted in lp_module), each reported as one "error: ..." on
+    stderr and never as a traceback."""
+    if lp_module is not None:
+        monkeypatch.setattr(
+            lp_module, "linprog",
+            lambda *a, **k: OptimizeResult(status=4, success=False,
+                                           message="numerical"))
+    assert run(argv(paths, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
 
 
 class TestSolveFrame:
@@ -123,22 +176,6 @@ class TestSolveFrame:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
-    def test_l0_enumeration_budget_exit_code(self, paths, capsys):
-        """A refused enumeration is a resource limit, as in pksp-check."""
-        code = run(["solve-frame", *base_args(paths),
-                    "--observation", paths["obs"], "--solver", "l0",
-                    "--l0-max-support", "5"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "exceeds budget" in err
-
-    def test_missing_file(self, paths, capsys):
-        code = run(["solve-frame", *base_args(paths),
-                    "--observation", "/nonexistent.json"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error" in err
-
 
 class TestPkspCheck:
     def toy_args(self, paths, tmp_path):
@@ -201,8 +238,8 @@ class TestPkspCheck:
 
     def test_one_factorization_per_run(self, paths, tmp_path, capsys,
                                        monkeypatch):
-        """Certification reads the null space that assembly factored: the
-        collinearity check, A and Btilde are the only SVDs of a run."""
+        """Certification reads the null space that assembly factored: A and
+        Btilde are the only SVDs of a run."""
         calls = []
         svd = np.linalg.svd
 
@@ -215,7 +252,7 @@ class TestPkspCheck:
                     "--support", "1,2"])
         capsys.readouterr()
         assert code == 0
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_order_out_of_range(self, paths, capsys):
         code = run(["pksp-check", *base_args(paths), "--order", "41"])

@@ -88,6 +88,29 @@ class TestLoadSkeleton:
         with pytest.raises(SkeletonError, match="contiguous"):
             load_skeleton(json.dumps(cfg))
 
+    @pytest.mark.parametrize("path, message", [
+        (("joints", 1, "id"), "joint entry 1: missing key 'id'"),
+        (("joints", 1, "parent"), "joint 1: missing key 'parent'"),
+        (("joints", 1, "offset"), "joint 1: missing key 'offset'"),
+        (("joints", 1, "dof", 0, "axis"), "joint 1 dof 0: missing key 'axis'"),
+        (("joints", 1, "dof", 0, "min_deg"), "joint 1 dof 0: missing key 'min_deg'"),
+        (("joints", 1, "dof", 0, "max_deg"), "joint 1 dof 0: missing key 'max_deg'"),
+        (("landmarks", 2, "id"), "landmark entry 2: missing key 'id'"),
+        (("landmarks", 2, "joint"), "landmark 2: missing key 'joint'"),
+        (("landmarks", 2, "local"), "landmark 2: missing key 'local'"),
+    ], ids=["joint-id", "joint-parent", "joint-offset", "dof-axis",
+            "dof-min_deg", "dof-max_deg", "landmark-id", "landmark-joint",
+            "landmark-local"])
+    def test_missing_key_named(self, path, message):
+        cfg = json.loads(toy8_config())
+        entry = cfg
+        for step in path[:-1]:
+            entry = entry[step]
+        del entry[path[-1]]
+        with pytest.raises(SkeletonError) as info:
+            load_skeleton(json.dumps(cfg))
+        assert str(info.value) == message
+
     def test_parse_failure(self):
         with pytest.raises(SkeletonError, match="parse"):
             load_skeleton("{not json")

@@ -111,8 +111,8 @@ class TestEliminateRigid:
 
     def test_one_factorization_of_each_block(self, skel40, skel40_pose,
                                              cam1145, monkeypatch):
-        """Assembly and both solvers take three factorizations in all: the
-        collinearity check's SVD, one of A and one of Btilde."""
+        """Assembly and both solvers take two factorizations in all: one
+        SVD of A and one of Btilde."""
         calls = []
 
         def counting(name, fn):
@@ -128,7 +128,7 @@ class TestEliminateRigid:
         y = sys_m.B[:, 7] * 1e-3
         solve_rf(sys_m, y, TIGHT)
         solve_l2(sys_m, y)
-        assert calls == ["svd"] * 3
+        assert calls == ["svd"] * 2
 
 
 class TestSolveRF:
