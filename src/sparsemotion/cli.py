@@ -190,6 +190,11 @@ def cmd_synth_bench(args) -> int:
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{args.sweep_config}: bad sweep config: {e}") from e
     grid = [(int(s), float(dl)) for s in sizes for dl in deltas]
+    occlude, n = cfg.get("occlude_landmark"), skel.n_landmarks
+    if occlude is not None and not (type(occlude) is int and 0 <= occlude < n):
+        raise InputError(
+            f"{args.sweep_config}: occlude_landmark {occlude!r} is not an int in [0, {n})"
+        )
     rng = np.random.default_rng(seed)
     n_poses = int(cfg.get("poses", 8))
     poses = [sample_pose(skel, rng) for _ in range(n_poses)]
@@ -201,7 +206,7 @@ def cmd_synth_bench(args) -> int:
         grid,
         trials,
         seed,
-        occlude_landmark=cfg.get("occlude_landmark"),
+        occlude_landmark=occlude,
         magnitude_range=(math.radians(mag[0]), math.radians(mag[1])),
         rigid_scale=float(cfg.get("rigid_scale", 1e-3)),
     )

@@ -16,9 +16,14 @@ from .camera import AssemblyError, CameraModel, RankDeficientError, SystemMatric
 from .camera import assemble_system
 from .kinematics import Pose, Skeleton, fk_arrays
 from .liegroup import RigidTransform
-from .solvers import SUPPORT_EPSILON, DifferentialMotion, SolveOptions, solve_l2, solve_rf
+from .solvers import SUPPORT_EPSILON, DifferentialMotion, SolveOptions, SolverError
+from .solvers import solve_l2, solve_rf
 
 _DEG = math.pi / 180.0
+
+
+class SamplingError(ValueError):
+    """No pose or motion of the requested kind could be drawn."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,7 @@ def sample_pose(skel: Skeleton, rng) -> Pose:
         _, _, pts = fk_arrays(skel, pose)
         if np.all(pts[:, 2] > 0.5):
             return pose
-    raise RuntimeError("could not sample a pose with valid landmark depths")
+    raise SamplingError("could not sample a pose with valid landmark depths")
 
 
 def gen_sparse_motion(
@@ -83,7 +88,7 @@ def gen_sparse_motion(
         omega[j] = sign * min(mag, head)
         picked += 1
     if picked < s:
-        raise RuntimeError("not enough joints with bound headroom for requested support")
+        raise SamplingError("not enough joints with bound headroom for requested support")
     rho = rng.normal(0.0, cfg.rigid_scale, size=6)
     return DifferentialMotion(rho, omega)
 
@@ -212,9 +217,9 @@ def run_sweep(
     solver, {cell, s, delta, trial} followed by run_trial's record.  Each
     row also counts the cell's trials that raised (``errors``, left out of
     ``trials``) and the solver's non-converged solves (``not_converged``).
-    A trial that cannot be assembled or solved (AssemblyError,
-    RankDeficientError, RuntimeError) is recorded as {cell, s, delta,
-    trial, error}; any other exception propagates.
+    A trial that cannot be sampled, assembled or solved (SamplingError,
+    AssemblyError, RankDeficientError, SolverError) is recorded as {cell, s,
+    delta, trial, error}; any other exception propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -235,7 +240,7 @@ def run_sweep(
                 res = run_trial(
                     skel, poses[t % len(poses)], cam, cfg, rng, solver_names, opts, visible
                 )
-            except (AssemblyError, RankDeficientError, RuntimeError) as e:
+            except (AssemblyError, RankDeficientError, SamplingError, SolverError) as e:
                 errors += 1
                 records.append({**key, "error": str(e)})
                 continue

@@ -4,8 +4,9 @@ articulated and rigid Jacobians, and anatomical angle clamping.
 A skeleton config declares joints with up to three rotational degrees of
 freedom each; multi-DoF joints are expanded on load into chains of 1-DoF
 joints with zero offsets, in declared order.  A loaded Skeleton is nothing
-but flat per-joint and per-landmark arrays, which the kernels read as they
-are.  Angles are degrees in config files and radians everywhere else.
+but flat per-joint and per-landmark arrays, which forward kinematics and the
+Jacobians read as they are; all three work in the camera frame.  Angles are
+degrees in config files and radians everywhere else.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from importlib import resources
 
 import numpy as np
 
-from . import _kernels
 from .liegroup import RigidTransform
 
 _AXIS_TOL = 1e-8
@@ -29,8 +29,8 @@ class SkeletonError(ValueError):
 
 @dataclass(frozen=True)
 class Skeleton:
-    """A kinematic tree of 1-DoF rotational joints, as the arrays the kernels
-    read.  Joint j turns about axes[j] after the translation offsets[j] from
+    """A kinematic tree of 1-DoF rotational joints, as the arrays fk_arrays
+    reads.  Joint j turns about axes[j] after the translation offsets[j] from
     joint parents[j] (-1: the camera-to-root transform); landmark i sits at
     lmk_local[i] in joint lmk_joint[i]'s frame.
     """
@@ -65,7 +65,10 @@ class Pose:
 
 
 def _key(entry: dict, key: str, where: str):
-    """entry[key], or a SkeletonError naming the entry and the missing key."""
+    """entry[key], or a SkeletonError naming the entry when it is not a JSON
+    object or lacks the key."""
+    if not isinstance(entry, dict):
+        raise SkeletonError(f"{where}: not a JSON object")
     if key not in entry:
         raise SkeletonError(f"{where}: missing key {key!r}")
     return entry[key]
@@ -75,8 +78,8 @@ def load_skeleton(config_text: str) -> Skeleton:
     """Parse a JSON skeleton config and expand multi-DoF joints.
 
     Raises SkeletonError on malformed input: parse failure, cycles,
-    non-unit axes, duplicate ids, inverted bounds, missing keys, or
-    landmarks referencing unknown joints.
+    non-unit axes, duplicate ids, inverted bounds, missing keys, entries
+    that are not JSON objects, or landmarks referencing unknown joints.
     """
     try:
         cfg = json.loads(config_text)
@@ -180,28 +183,70 @@ def _check_dims(skel: Skeleton, pose: Pose):
         )
 
 
-def fk_arrays(skel: Skeleton, pose: Pose):
-    """Kernel-facing forward kinematics.
+def _axis_rotations(axes, theta):
+    """Rodrigues rotations (d,3,3) about unit axes (d,3) by angles (d,)."""
+    c = np.cos(theta)
+    s = np.sin(theta)
+    one_c = 1.0 - c
+    x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
+    R = np.empty((theta.shape[0], 3, 3))
+    R[:, 0, 0] = c + x * x * one_c
+    R[:, 0, 1] = x * y * one_c - z * s
+    R[:, 0, 2] = x * z * one_c + y * s
+    R[:, 1, 0] = y * x * one_c + z * s
+    R[:, 1, 1] = c + y * y * one_c
+    R[:, 1, 2] = y * z * one_c - x * s
+    R[:, 2, 0] = z * x * one_c - y * s
+    R[:, 2, 1] = z * y * one_c + x * s
+    R[:, 2, 2] = c + z * z * one_c
+    return R
 
-    Returns (R, t, points): per-joint world rotations (d,3,3) and
-    translations (d,3), and landmark positions (N,3) in the camera frame.
+
+def fk_arrays(skel: Skeleton, pose: Pose):
+    """Forward kinematics along the tree, parents first.
+
+    Returns (R, t, points): per-joint rotations (d,3,3) and translations
+    (d,3), and landmark positions (N,3), all in the camera frame.  Joint j's
+    frame is parents[j]'s frame * translate(offsets[j]) * rot(axes[j],
+    theta[j]); parent -1 is the camera-to-root transform.
     """
     _check_dims(skel, pose)
-    R, t = _kernels.fk_chain(
-        skel.parents,
-        skel.offsets,
-        skel.axes,
-        np.ascontiguousarray(pose.camera_to_root.rotation),
-        np.ascontiguousarray(pose.camera_to_root.translation),
-        pose.theta,
-    )
-    pts = _kernels.landmark_points(R, t, skel.lmk_joint, skel.lmk_local)
+    local = _axis_rotations(skel.axes, pose.theta)
+    parents, offsets = skel.parents, skel.offsets
+    Rc, tc = pose.camera_to_root.rotation, pose.camera_to_root.translation
+    d = parents.shape[0]
+    R = np.empty((d, 3, 3))
+    t = np.empty((d, 3))
+    for j in range(d):
+        p = parents[j]
+        Rp, tp = (Rc, tc) if p < 0 else (R[p], t[p])
+        t[j] = tp + Rp @ offsets[j]
+        R[j] = Rp @ local[j]
+    lj = skel.lmk_joint
+    pts = t[lj] + (R[lj] @ skel.lmk_local[:, :, None])[:, :, 0]
     return R, t, pts
 
 
 def jacobian_from_fk(skel: Skeleton, R, t, points) -> np.ndarray:
-    """articulated_jacobian from the (R, t, points) that fk_arrays returned."""
-    return _kernels.articulated_jacobian(R, t, skel.axes, skel.ancestry, points)
+    """articulated_jacobian from the (R, t, points) that fk_arrays returned.
+
+    Rows 3i..3i+2 of column j are landmark i's camera-frame velocity per unit
+    rate of joint j, w_j x (p_i - t_j) with w_j = R_j axes[j] the joint's
+    camera-frame axis, and zero where skel.ancestry[j, i] is false.
+    """
+    w = (R @ skel.axes[:, :, None])[:, None, :, 0]  # (d, 1, 3)
+    r = points[None, :, :] - t[:, None, :]  # (d, N, 3)
+    cross = np.stack(
+        [
+            w[..., 1] * r[..., 2] - w[..., 2] * r[..., 1],
+            w[..., 2] * r[..., 0] - w[..., 0] * r[..., 2],
+            w[..., 0] * r[..., 1] - w[..., 1] * r[..., 0],
+        ],
+        axis=-1,
+    )
+    cross = np.where(skel.ancestry[:, :, None], cross, 0.0)
+    d, n = skel.ancestry.shape
+    return cross.transpose(1, 2, 0).reshape(3 * n, d)
 
 
 def articulated_jacobian(skel: Skeleton, pose: Pose) -> np.ndarray:

@@ -108,7 +108,8 @@ def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
     Z is a d x k orthonormal basis of the ambiguity null space
     (system.reduction.null_space or ambiguity_nullspace).  The check
     enumerates the 2^(|F|-1) sign patterns on F, for |F| <= 12, and is a
-    proof either way.
+    proof either way.  An LP that ends with no result, or LPs that all
+    report infeasible, raise SolverError.
     """
     d, k = Z.shape
     on_idx = _support_indices(F)
@@ -135,9 +136,9 @@ def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
         if value > worst:
             worst, worst_v = value, v
     if worst == -np.inf:
-        # subspace meets no sign pattern nontrivially (Z rows on F all zero
-        # and normalization infeasible); treat as vacuous
-        return PkspVerdict(True, 1.0, None)
+        # c = 0 with a = b = 1/(2q) is feasible when F misses a DoF, and a
+        # nonzero vector of the subspace has some sign pattern when it does not
+        raise SolverError("no sign-pattern LP was feasible")
     holds = worst < 0.0
     counter = None if holds else worst_v / np.sum(np.abs(worst_v))
     return PkspVerdict(holds, float(-worst), counter)

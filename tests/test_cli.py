@@ -21,7 +21,7 @@ from sparsemotion.tracker import (
     track_sequence,
 )
 
-from conftest import toy12_config
+from conftest import toy12_config, toy8_config
 
 
 @pytest.fixture(scope="module")
@@ -65,45 +65,92 @@ def solve_args(paths):
     return ["solve-frame", *base_args(paths), "--observation", paths["obs"]]
 
 
-def skeleton_without_parent(paths, tmp_path):
-    """The bundled skeleton with "parent" deleted from joint 3."""
-    cfg = json.loads(Path(paths["skel"]).read_text())
-    del cfg["joints"][3]["parent"]
-    path = tmp_path / "no_parent.json"
-    path.write_text(json.dumps(cfg))
-    return str(path)
+def validate_edited(edit):
+    """argv for validate-skeleton on the bundled skeleton after edit(cfg)."""
+    def argv(paths, tmp_path):
+        cfg = json.loads(Path(paths["skel"]).read_text())
+        edit(cfg)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(cfg))
+        return ["validate-skeleton", "--skeleton", str(path)]
+    return argv
 
 
-@pytest.mark.parametrize("argv, lp_module, code, message", [
+def synth_bench(sweep=None, skeleton=None):
+    """argv for synth-bench over one cell and one trial, with sweep's keys
+    added to the config, on the skeleton text given or the bundled one."""
+    def argv(paths, tmp_path):
+        cfg = {"grid": {"support_sizes": [1], "noise_std_px": [0.0]},
+               "trials": 1, "seed": 1, "poses": 1, **(sweep or {})}
+        (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+        skel = paths["skel"]
+        if skeleton is not None:
+            skel = str(tmp_path / "skeleton.json")
+            Path(skel).write_text(skeleton)
+        return ["synth-bench", "--skeleton", skel, "--camera", paths["cam"],
+                "--sweep-config", str(tmp_path / "sweep.json"),
+                "--out", str(tmp_path / "out")]
+    return argv
+
+
+def unsamplable_toy8() -> str:
+    """toy8 with landmark 0 at the camera's depth 0 in every pose."""
+    cfg = json.loads(toy8_config())
+    cfg["landmarks"][0]["local"] = [0.0, 0.0, -3.0]
+    return json.dumps(cfg)
+
+
+@pytest.mark.parametrize("argv, lp_fault, code, message", [
     pytest.param(lambda p, t: ["solve-frame", *base_args(p), "--observation",
                                str(t / "absent.json")],
                  None, 1, "cannot read", id="missing-file"),
-    pytest.param(lambda p, t: ["validate-skeleton", "--skeleton",
-                               skeleton_without_parent(p, t)],
+    pytest.param(validate_edited(lambda c: c["joints"][3].pop("parent")),
                  None, 1, "joint 3: missing key 'parent'",
                  id="skeleton-missing-key"),
+    pytest.param(validate_edited(lambda c: c["joints"].insert(1, 5)),
+                 None, 1, "joint entry 1: not a JSON object",
+                 id="skeleton-joint-not-object"),
+    pytest.param(validate_edited(lambda c: c["joints"][1]["dof"].insert(0, None)),
+                 None, 1, "joint 1 dof 0: not a JSON object",
+                 id="skeleton-dof-not-object"),
+    pytest.param(validate_edited(lambda c: c["landmarks"].insert(2, None)),
+                 None, 1, "landmark entry 2: not a JSON object",
+                 id="skeleton-landmark-not-object"),
+    pytest.param(synth_bench(skeleton=unsamplable_toy8()),
+                 None, 1, "could not sample a pose", id="synth-bench-unsamplable"),
+    pytest.param(synth_bench({"occlude_landmark": 99}),
+                 None, 1, "occlude_landmark", id="occlude-out-of-range"),
+    pytest.param(synth_bench({"occlude_landmark": -1}),
+                 None, 1, "occlude_landmark", id="occlude-negative"),
+    pytest.param(synth_bench({"occlude_landmark": "2"}),
+                 None, 1, "occlude_landmark", id="occlude-not-int"),
     pytest.param(lambda p, t: [*solve_args(p), "--solver", "l0",
                                "--l0-max-support", "5"],
                  None, 2, "exceeds budget", id="l0-budget"),
     pytest.param(lambda p, t: [*solve_args(p), "--solver", "rf"],
-                 solvers, 2, "basis-pursuit LP failed: numerical",
-                 id="rf-lp-status-4"),
+                 (solvers, 4, "numerical"), 2,
+                 "basis-pursuit LP failed: numerical", id="rf-lp-status-4"),
     pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
                                "12,27"],
-                 pksp, 2, "sign-pattern LP failed: numerical",
+                 (pksp, 4, "numerical"), 2, "sign-pattern LP failed: numerical",
                  id="pksp-lp-status-4"),
+    pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
+                               "12,27"],
+                 (pksp, 2, "infeasible"), 2, "no sign-pattern LP was feasible",
+                 id="pksp-all-lps-infeasible"),
 ])
-def test_failing_exit(argv, lp_module, code, message, paths, tmp_path, capsys,
+def test_failing_exit(argv, lp_fault, code, message, paths, tmp_path, capsys,
                       monkeypatch):
     """The failing exits of the CLI contract: 1 for an input error, 2 for a
-    resource or convergence failure (here HiGHS status 4, numerical
-    trouble, planted in lp_module), each reported as one "error: ..." on
-    stderr and never as a traceback."""
-    if lp_module is not None:
+    resource or convergence failure (here a HiGHS status planted in
+    lp_fault's module: 4, numerical trouble, or 2, infeasible), each
+    reported as one "error: ..." on stderr and never as a traceback."""
+    if lp_fault is not None:
+        module, status, lp_message = lp_fault
         monkeypatch.setattr(
-            lp_module, "linprog",
-            lambda *a, **k: OptimizeResult(status=4, success=False,
-                                           message="numerical"))
+            module, "linprog",
+            lambda *a, **k: OptimizeResult(status=status, success=False,
+                                           message=lp_message))
     assert run(argv(paths, tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")

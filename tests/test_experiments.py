@@ -7,6 +7,7 @@ import pytest
 
 from sparsemotion import experiments
 from sparsemotion.experiments import (
+    SamplingError,
     TrialConfig,
     gen_sparse_motion,
     mpjpe,
@@ -286,7 +287,7 @@ class TestRunSweep:
         def fails_on_second_trial(*args, **kwargs):
             calls.append(None)
             if len(calls) == 2:
-                raise RuntimeError("planted failure")
+                raise SamplingError("planted failure")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "gen_sparse_motion",
@@ -309,6 +310,18 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "solve_l2", broken)
         poses = [sample_pose(skel40, np.random.default_rng(12))]
         with pytest.raises(TypeError, match="planted"):
+            run_sweep(skel40, poses, cam1145, [(1, 0.0)], trials=1, seed=4)
+
+    def test_runtime_error_subclass_propagates(self, skel40, cam1145,
+                                               monkeypatch):
+        """A RuntimeError that is not a SolverError, here a planted
+        NotImplementedError in solve_rf, is not recorded as a trial error."""
+        def unfinished(*args, **kwargs):
+            raise NotImplementedError("planted")
+
+        monkeypatch.setattr(experiments, "solve_rf", unfinished)
+        poses = [sample_pose(skel40, np.random.default_rng(12))]
+        with pytest.raises(NotImplementedError, match="planted"):
             run_sweep(skel40, poses, cam1145, [(1, 0.0)], trials=1, seed=4)
 
 

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from sparsemotion import _kernels, camera, kinematics
+from sparsemotion import camera, kinematics
 from sparsemotion.camera import (
     assemble_system,
     projection_jacobian,
@@ -110,7 +110,7 @@ def test_rotation_kernel_matches_reference():
     axes = rng.standard_normal((50, 3))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     theta = rng.uniform(-np.pi, np.pi, 50)
-    batched = _kernels.axis_rotations(axes, theta)
+    batched = kinematics._axis_rotations(axes, theta)
     for k in range(50):
         np.testing.assert_array_equal(
             batched[k], ref_rotation_about_axis(axes[k], theta[k]))

@@ -144,6 +144,16 @@ class TestCheckPkspExact:
         with pytest.raises(SolverError, match="numerical"):
             check_pksp(toy12_system.reduction.null_space, (1, 2))
 
+    def test_all_lps_infeasible_raises(self, skel40_system, monkeypatch):
+        """A nonzero ambiguity subspace meets some sign pattern, so LPs that
+        all report infeasible decide nothing; (0, 1) in truth fails."""
+        monkeypatch.setattr(
+            pksp, "linprog",
+            lambda *a, **k: OptimizeResult(status=2, success=False,
+                                           message="infeasible"))
+        with pytest.raises(SolverError, match="no sign-pattern LP was feasible"):
+            check_pksp(skel40_system.reduction.null_space, (0, 1))
+
     def test_root_singleton_never_certified(self, skel40_system):
         Z = skel40_system.reduction.null_space
         verdict = check_pksp(Z, (0,))
