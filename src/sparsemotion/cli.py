@@ -187,18 +187,31 @@ def cmd_synth_bench(args) -> int:
         deltas = cfg["grid"]["noise_std_px"]
         trials = int(cfg["trials"])
         seed = int(cfg["seed"])
+        n_poses = int(cfg.get("poses", 8))
+        mag = cfg.get("magnitude_range_deg", [0.5, 5.0])
+        rigid_scale = float(cfg.get("rigid_scale", 1e-3))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{args.sweep_config}: bad sweep config: {e}") from e
-    grid = [(int(s), float(dl)) for s in sizes for dl in deltas]
+    for key, ok, want in (
+        ("grid.support_sizes", isinstance(sizes, list), "a list"),
+        ("grid.noise_std_px", isinstance(deltas, list), "a list"),
+        ("poses", n_poses >= 1, "at least 1"),
+        ("magnitude_range_deg", isinstance(mag, list) and len(mag) == 2, "a [min, max] pair"),
+    ):
+        if not ok:
+            raise InputError(f"{args.sweep_config}: {key} must be {want}")
+    try:
+        grid = [(int(s), float(dl)) for s in sizes for dl in deltas]
+        magnitude_range = (math.radians(float(mag[0])), math.radians(float(mag[1])))
+    except (TypeError, ValueError) as e:
+        raise InputError(f"{args.sweep_config}: bad sweep config: {e}") from e
     occlude, n = cfg.get("occlude_landmark"), skel.n_landmarks
     if occlude is not None and not (type(occlude) is int and 0 <= occlude < n):
         raise InputError(
             f"{args.sweep_config}: occlude_landmark {occlude!r} is not an int in [0, {n})"
         )
     rng = np.random.default_rng(seed)
-    n_poses = int(cfg.get("poses", 8))
     poses = [sample_pose(skel, rng) for _ in range(n_poses)]
-    mag = cfg.get("magnitude_range_deg", (0.5, 5.0))
     rows, records = run_sweep(
         skel,
         poses,
@@ -207,8 +220,8 @@ def cmd_synth_bench(args) -> int:
         trials,
         seed,
         occlude_landmark=occlude,
-        magnitude_range=(math.radians(mag[0]), math.radians(mag[1])),
-        rigid_scale=float(cfg.get("rigid_scale", 1e-3)),
+        magnitude_range=magnitude_range,
+        rigid_scale=rigid_scale,
     )
     os.makedirs(args.out, exist_ok=True)
     try:

@@ -55,7 +55,7 @@ class Skeleton:
         return self.lmk_joint.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     camera_to_root: RigidTransform
     theta: np.ndarray  # rad, one entry per expanded joint
@@ -74,20 +74,39 @@ def _key(entry: dict, key: str, where: str):
     return entry[key]
 
 
+def _int_key(entry: dict, key: str, where: str) -> int:
+    """_key's value, or a SkeletonError naming the entry when it is not an
+    integer (ids and the joints they reference are integers)."""
+    value = _key(entry, key, where)
+    if type(value) is not int:
+        raise SkeletonError(f"{where}: {key} {value!r} is not an integer")
+    return value
+
+
+def _section(cfg: dict, key: str) -> list:
+    """cfg[key] (KeyError when missing), or a SkeletonError when it is not
+    a JSON array."""
+    section = cfg[key]
+    if not isinstance(section, list):
+        raise SkeletonError(f"section {key!r}: not a JSON array")
+    return section
+
+
 def load_skeleton(config_text: str) -> Skeleton:
     """Parse a JSON skeleton config and expand multi-DoF joints.
 
     Raises SkeletonError on malformed input: parse failure, cycles,
-    non-unit axes, duplicate ids, inverted bounds, missing keys, entries
-    that are not JSON objects, or landmarks referencing unknown joints.
+    non-unit axes, duplicate ids, inverted bounds, missing keys, sections
+    that are not JSON arrays, entries that are not JSON objects, ids that
+    are not integers, or landmarks referencing unknown joints.
     """
     try:
         cfg = json.loads(config_text)
     except json.JSONDecodeError as e:
         raise SkeletonError(f"config parse failure: {e}") from e
     try:
-        raw_joints = cfg["joints"]
-        raw_landmarks = cfg["landmarks"]
+        raw_joints = _section(cfg, "joints")
+        raw_landmarks = _section(cfg, "landmarks")
         name = cfg.get("name", "skeleton")
     except (KeyError, TypeError) as e:
         raise SkeletonError(f"missing config section: {e}") from e
@@ -96,10 +115,10 @@ def load_skeleton(config_text: str) -> Skeleton:
     last_sub: dict[int, int] = {}  # config joint id -> last expanded index
     n_roots = 0
     for n, rj in enumerate(raw_joints):
-        jid = _key(rj, "id", f"joint entry {n}")
+        jid = _int_key(rj, "id", f"joint entry {n}")
         if jid in last_sub:
             raise SkeletonError(f"duplicate joint id {jid}")
-        parent = _key(rj, "parent", f"joint {jid}")
+        parent = _int_key(rj, "parent", f"joint {jid}")
         if parent == jid:
             raise SkeletonError(f"cycle detected: joint {jid} is its own parent")
         if parent == -1:
@@ -112,6 +131,8 @@ def load_skeleton(config_text: str) -> Skeleton:
         else:
             parent_idx = last_sub[parent]
         dofs = rj.get("dof", [])
+        if not isinstance(dofs, list):
+            raise SkeletonError(f"joint {jid}: dof is not a JSON array")
         if not dofs:
             raise SkeletonError(f"joint {jid} has no degrees of freedom")
         for k, dof in enumerate(dofs):
@@ -141,10 +162,10 @@ def load_skeleton(config_text: str) -> Skeleton:
 
     placed: dict[int, tuple] = {}  # landmark id -> (expanded joint, local)
     for n, rl in enumerate(raw_landmarks):
-        lid = _key(rl, "id", f"landmark entry {n}")
+        lid = _int_key(rl, "id", f"landmark entry {n}")
         if lid in placed:
             raise SkeletonError(f"duplicate landmark id {lid}")
-        joint = _key(rl, "joint", f"landmark {lid}")
+        joint = _int_key(rl, "joint", f"landmark {lid}")
         if joint not in last_sub:
             raise SkeletonError(f"landmark {lid} references unknown joint {joint}")
         placed[lid] = (last_sub[joint], _key(rl, "local", f"landmark {lid}"))

@@ -21,7 +21,7 @@ def skew(p) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RigidTransform:
     rotation: np.ndarray
     translation: np.ndarray

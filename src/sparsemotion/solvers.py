@@ -1,6 +1,12 @@
 """Estimators for y = A rho + B omega: l1 basis pursuit as an exact HiGHS
 linear program, the minimum-l2-norm baseline, and a brute-force l0 oracle.
 
+The basis-pursuit LP is built straight into HiGHS's Python binding, the one
+scipy ships as scipy.optimize._highspy._core, and solved by the dual
+simplex with presolve off.  Most of a scipy.optimize.linprog call goes to
+checking its input and building the model; on these small dense LPs
+presolve costs more than it saves.
+
 The l1 and l2 solvers work on the reduced problem Btilde omega = ytilde
 obtained by projecting out the 6-dimensional rigid block, and recover rho
 afterwards by least squares.  Both read the factorization that
@@ -14,19 +20,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .camera import AssemblyError, SystemMatrices
 
 _DEG5 = math.radians(5.0)
 
-# scipy.optimize.linprog status codes
-_LP_OPTIMAL, _LP_ITERATION_LIMIT, _LP_INFEASIBLE = 0, 1, 2
+# the HiGHS model statuses that end a basis-pursuit LP with a termination
 _TERMINATION = {
-    _LP_OPTIMAL: "converged",
-    _LP_ITERATION_LIMIT: "max_iter",
-    _LP_INFEASIBLE: "infeasible",
+    highs.HighsModelStatus.kOptimal: "converged",
+    highs.HighsModelStatus.kIterationLimit: "max_iter",
+    highs.HighsModelStatus.kInfeasible: "infeasible",
 }
+# simplex_strategy 1 is the dual simplex, as linprog sets it
+_HIGHS_OPTIONS = {"output_flag": False, "presolve": "off", "simplex_strategy": 1}
 _LP_FEAS_TOL = 1e-7  # HiGHS's default primal feasibility tolerance
 
 
@@ -114,23 +121,40 @@ def _observation_vector(sys: SystemMatrices, y) -> np.ndarray:
 def _basis_pursuit_lp(Vr, b, upper, max_iter):
     """min 1'(p + n) s.t. Vr'(p - n) = b, 0 <= p, n <= upper (None: no bound).
 
-    Returns (status, w, u, iterations) with w = p - n and the certificate
-    u = Vr @ lambda; w and u are None unless the LP was solved.
+    Solved on a fresh HiGHS instance, since a live one holds its memory.
+    Returns (status, w, u, iterations), status a key of _TERMINATION, with
+    w = p - n and the certificate u = Vr @ lambda for the row duals lambda
+    (the sign of linprog's eqlin.marginals); w and u are None unless the LP
+    was solved.  Any other HiGHS status raises SolverError.
     """
-    d = Vr.shape[0]
-    res = linprog(
-        np.ones(2 * d),
-        A_eq=np.hstack([Vr.T, -Vr.T]),
-        b_eq=b,
-        bounds=(0.0, upper),
-        method="highs",
-        options={"maxiter": max_iter},
-    )
-    if res.status == _LP_OPTIMAL:
-        return res.status, res.x[:d] - res.x[d:], Vr @ res.eqlin.marginals, res.nit
-    if res.status in (_LP_ITERATION_LIMIT, _LP_INFEASIBLE):
-        return res.status, None, None, res.nit
-    raise SolverError(f"basis-pursuit LP failed: {res.message}")
+    d, r = Vr.shape
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = 2 * d, r
+    lp.col_cost_ = np.ones(2 * d)
+    lp.col_lower_ = np.zeros(2 * d)
+    lp.col_upper_ = np.full(2 * d, highs.kHighsInf if upper is None else upper)
+    lp.row_lower_ = lp.row_upper_ = b
+    a = lp.a_matrix_  # the dense rows [Vr', -Vr'], one after another
+    a.format_ = highs.MatrixFormat.kRowwise
+    a.num_col_, a.num_row_ = 2 * d, r
+    a.start_ = np.arange(0, 2 * d * r + 1, 2 * d)
+    a.index_ = np.tile(np.arange(2 * d), r)
+    a.value_ = np.hstack([Vr.T, -Vr.T]).ravel()
+    h = highs._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        h.setOptionValue(name, value)
+    h.setOptionValue("simplex_iteration_limit", int(max_iter))
+    h.passModel(lp)
+    h.run()
+    status = h.getModelStatus()
+    iterations = h.getInfo().simplex_iteration_count
+    if status == highs.HighsModelStatus.kOptimal:
+        sol = h.getSolution()
+        x, lam = np.asarray(sol.col_value), np.asarray(sol.row_dual)
+        return status, x[:d] - x[d:], Vr @ lam, iterations
+    if status in _TERMINATION:
+        return status, None, None, iterations
+    raise SolverError(f"basis-pursuit LP failed: {h.modelStatusToString(status)}")
 
 
 def _kkt_violation(w, u, upper) -> float:
@@ -160,13 +184,15 @@ def solve_rf(sys: SystemMatrices, y, opts: SolveOptions = SolveOptions()):
     counts as converged.  Returns (DifferentialMotion, SolveStats).
     """
     yv = _observation_vector(sys, y)
+    if not np.all(np.isfinite(yv)):  # HiGHS would call a NaN model optimal
+        raise ValueError("observation must be finite")
     Vr, x0 = sys.reduction.row_space, sys.reduction.min_norm(yv)
     scale = float(np.max(np.abs(x0), initial=0.0)) or 1.0
     b = Vr.T @ x0 / scale
     upper = opts.omega_max / scale if opts.box_enabled else None
     status, w, u, iters = _basis_pursuit_lp(Vr, b, upper, opts.max_iter)
     termination = _TERMINATION[status]
-    if status == _LP_INFEASIBLE:  # only the box can cut the affine set off
+    if termination == "infeasible":  # only the box can cut the affine set off
         _, w, u, nit = _basis_pursuit_lp(Vr, b, None, opts.max_iter)
         iters += nit
     if w is None:  # iteration limit: fall back on the min-norm point

@@ -48,18 +48,22 @@ class TrackerState:
     steps: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameResult:
     frame_index: int
     rho: np.ndarray
     omega: np.ndarray
-    support: Support
     reproj_err_px: float
     iterations: int
     converged: bool
     termination: str | None  # SolveStats.termination; None for a skipped frame
     reinit: bool
     skipped: bool = False
+
+    @property
+    def support(self) -> Support:
+        """The rates above SUPPORT_EPSILON; empty for a skipped frame."""
+        return extract_support(self.omega, SUPPORT_EPSILON)
 
 
 def render_frame(skel: Skeleton, pose: Pose, cam: CameraModel, frame_index: int) -> LandmarkFrame:
@@ -132,7 +136,6 @@ def step_frame(
             frame_index=frame.frame_index,
             rho=np.zeros(6),
             omega=np.zeros(skel.dof),
-            support=Support(()),
             reproj_err_px=float("nan"),
             iterations=0,
             converged=False,
@@ -154,7 +157,6 @@ def step_frame(
         frame_index=frame.frame_index,
         rho=motion.rho,
         omega=motion.omega,
-        support=extract_support(motion.omega, SUPPORT_EPSILON),
         reproj_err_px=err,
         iterations=stats.iterations,
         converged=stats.converged,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsemotion import CameraModel, default_skeleton
+from sparsemotion import CameraModel, default_skeleton, solvers
 from sparsemotion.camera import assemble_system
 from sparsemotion.experiments import sample_pose
 from sparsemotion.kinematics import Pose, load_skeleton
@@ -89,6 +89,16 @@ def in_bounds_pose(skel, rng, spread=0.5, depth=3.0) -> Pose:
     )
     Tc = RigidTransform(np.eye(3), np.array([0.0, 0.0, depth]))
     return Pose(camera_to_root=Tc, theta=theta)
+
+
+def plant_highs_status(monkeypatch, status):
+    """End every basis-pursuit LP in the HiGHS model status given: the
+    instances solvers makes report it where _basis_pursuit_lp reads it."""
+    class Planted(solvers.highs._Highs):
+        def getModelStatus(self):
+            return status
+
+    monkeypatch.setattr(solvers.highs, "_Highs", Planted)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from sparsemotion.tracker import (
     track_sequence,
 )
 
-from conftest import toy12_config, toy8_config
+from conftest import plant_highs_status, toy12_config, toy8_config
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,16 @@ def synth_bench(sweep=None, skeleton=None):
     return argv
 
 
+def linprog_status(module, status, message):
+    """Plants a scipy linprog status in module's linprog."""
+    def plant(monkeypatch):
+        monkeypatch.setattr(
+            module, "linprog",
+            lambda *a, **k: OptimizeResult(status=status, success=False,
+                                           message=message))
+    return plant
+
+
 def unsamplable_toy8() -> str:
     """toy8 with landmark 0 at the camera's depth 0 in every pose."""
     cfg = json.loads(toy8_config())
@@ -116,6 +126,21 @@ def unsamplable_toy8() -> str:
     pytest.param(validate_edited(lambda c: c["landmarks"].insert(2, None)),
                  None, 1, "landmark entry 2: not a JSON object",
                  id="skeleton-landmark-not-object"),
+    pytest.param(validate_edited(lambda c: c.update(joints=5)),
+                 None, 1, "section 'joints': not a JSON array",
+                 id="skeleton-joints-not-array"),
+    pytest.param(validate_edited(lambda c: c.update(landmarks=5)),
+                 None, 1, "section 'landmarks': not a JSON array",
+                 id="skeleton-landmarks-not-array"),
+    pytest.param(validate_edited(lambda c: c["joints"][1].update(dof=5)),
+                 None, 1, "joint 1: dof is not a JSON array",
+                 id="skeleton-dof-not-array"),
+    pytest.param(validate_edited(lambda c: c["joints"][1].update(id=[1])),
+                 None, 1, "joint entry 1: id [1] is not an integer",
+                 id="skeleton-joint-id-list"),
+    pytest.param(validate_edited(lambda c: c["landmarks"][2].update(joint=[3])),
+                 None, 1, "landmark 2: joint [3] is not an integer",
+                 id="skeleton-landmark-joint-list"),
     pytest.param(synth_bench(skeleton=unsamplable_toy8()),
                  None, 1, "could not sample a pose", id="synth-bench-unsamplable"),
     pytest.param(synth_bench({"occlude_landmark": 99}),
@@ -124,33 +149,45 @@ def unsamplable_toy8() -> str:
                  None, 1, "occlude_landmark", id="occlude-negative"),
     pytest.param(synth_bench({"occlude_landmark": "2"}),
                  None, 1, "occlude_landmark", id="occlude-not-int"),
+    pytest.param(synth_bench({"poses": 0}),
+                 None, 1, "poses must be at least 1", id="synth-bench-zero-poses"),
+    pytest.param(synth_bench({"poses": -3}),
+                 None, 1, "poses must be at least 1",
+                 id="synth-bench-negative-poses"),
+    pytest.param(synth_bench({"magnitude_range_deg": 5}),
+                 None, 1, "magnitude_range_deg must be a [min, max] pair",
+                 id="synth-bench-magnitude-not-pair"),
+    pytest.param(synth_bench({"grid": {"support_sizes": 1,
+                                       "noise_std_px": [0.0]}}),
+                 None, 1, "grid.support_sizes must be a list",
+                 id="synth-bench-sizes-not-list"),
     pytest.param(lambda p, t: [*solve_args(p), "--solver", "l0",
                                "--l0-max-support", "5"],
                  None, 2, "exceeds budget", id="l0-budget"),
     pytest.param(lambda p, t: [*solve_args(p), "--solver", "rf"],
-                 (solvers, 4, "numerical"), 2,
-                 "basis-pursuit LP failed: numerical", id="rf-lp-status-4"),
+                 lambda mp: plant_highs_status(
+                     mp, solvers.highs.HighsModelStatus.kSolveError), 2,
+                 "basis-pursuit LP failed: Solve error", id="rf-lp-status-4"),
     pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
                                "12,27"],
-                 (pksp, 4, "numerical"), 2, "sign-pattern LP failed: numerical",
+                 linprog_status(pksp, 4, "numerical"), 2,
+                 "sign-pattern LP failed: numerical",
                  id="pksp-lp-status-4"),
     pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
                                "12,27"],
-                 (pksp, 2, "infeasible"), 2, "no sign-pattern LP was feasible",
+                 linprog_status(pksp, 2, "infeasible"), 2,
+                 "no sign-pattern LP was feasible",
                  id="pksp-all-lps-infeasible"),
 ])
 def test_failing_exit(argv, lp_fault, code, message, paths, tmp_path, capsys,
                       monkeypatch):
     """The failing exits of the CLI contract: 1 for an input error, 2 for a
-    resource or convergence failure (here a HiGHS status planted in
-    lp_fault's module: 4, numerical trouble, or 2, infeasible), each
-    reported as one "error: ..." on stderr and never as a traceback."""
+    resource or convergence failure (here an LP status that lp_fault
+    plants: a HiGHS solve error in solvers, or linprog's 4, numerical
+    trouble, or 2, infeasible, in pksp), each reported as one "error: ..."
+    on stderr and never as a traceback."""
     if lp_fault is not None:
-        module, status, lp_message = lp_fault
-        monkeypatch.setattr(
-            module, "linprog",
-            lambda *a, **k: OptimizeResult(status=status, success=False,
-                                           message=lp_message))
+        lp_fault(monkeypatch)
     assert run(argv(paths, tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from sparsemotion import solvers
 from sparsemotion.camera import RankDeficientError, assemble_system, reduce_system
@@ -23,7 +22,7 @@ from sparsemotion.solvers import (
     solve_rf,
 )
 
-from conftest import in_bounds_pose
+from conftest import in_bounds_pose, plant_highs_status
 
 TIGHT = SolveOptions(max_iter=20000, primal_tol=1e-10, dual_tol=1e-10,
                      box_enabled=False)
@@ -232,12 +231,17 @@ class TestSolveRF:
     def test_unexpected_lp_status_raises(self, skel40_system, monkeypatch):
         """A HiGHS status with no estimate is a RuntimeError, which the
         tracker's input-error handling does not swallow."""
-        monkeypatch.setattr(
-            solvers, "linprog",
-            lambda *a, **k: OptimizeResult(status=4, message="numerical"))
-        with pytest.raises(SolverError) as info:
+        plant_highs_status(monkeypatch, solvers.highs.HighsModelStatus.kSolveError)
+        with pytest.raises(SolverError, match="basis-pursuit LP failed: Solve error") as info:
             solve_rf(skel40_system, skel40_system.B[:, 5] * 1e-3, TIGHT)
         assert not isinstance(info.value, ValueError)
+
+    def test_non_finite_observation_raises(self, skel40_system):
+        """HiGHS would call a model with a NaN row bound optimal."""
+        y = skel40_system.B[:, 5] * 1e-3
+        y[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_rf(skel40_system, y, TIGHT)
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
