@@ -83,6 +83,17 @@ def _int_key(entry: dict, key: str, where: str) -> int:
     return value
 
 
+def _number_key(entry: dict, key: str, where: str, size: int = 0):
+    """_key's value, checked to be a number or, given size, size numbers."""
+    value = _key(entry, key, where)
+    items = value if size else [value]
+    if (not isinstance(items, list) or len(items) != max(size, 1)
+            or not {int, float}.issuperset(map(type, items))):
+        raise SkeletonError(f"{where}: {key} {value!r} is not "
+                            + (f"{size} numbers" if size else "a number"))
+    return value
+
+
 def _section(cfg: dict, key: str) -> list:
     """cfg[key] (KeyError when missing), or a SkeletonError when it is not
     a JSON array."""
@@ -98,7 +109,8 @@ def load_skeleton(config_text: str) -> Skeleton:
     Raises SkeletonError on malformed input: parse failure, cycles,
     non-unit axes, duplicate ids, inverted bounds, missing keys, sections
     that are not JSON arrays, entries that are not JSON objects, ids that
-    are not integers, or landmarks referencing unknown joints.
+    are not integers, number fields that are not numbers, or landmarks
+    referencing unknown joints.
     """
     try:
         cfg = json.loads(config_text)
@@ -137,14 +149,14 @@ def load_skeleton(config_text: str) -> Skeleton:
             raise SkeletonError(f"joint {jid} has no degrees of freedom")
         for k, dof in enumerate(dofs):
             where = f"joint {jid} dof {k}"
-            axis = np.asarray(_key(dof, "axis", where), dtype=float)
+            axis = np.asarray(_number_key(dof, "axis", where, 3), dtype=float)
             nrm = np.linalg.norm(axis)
             if abs(nrm - 1.0) > _AXIS_TOL:
                 if nrm < _AXIS_TOL:
                     raise SkeletonError(f"joint {jid}: zero rotation axis")
                 axis = axis / nrm
-            lo = math.radians(_key(dof, "min_deg", where))
-            hi = math.radians(_key(dof, "max_deg", where))
+            lo = math.radians(_number_key(dof, "min_deg", where))
+            hi = math.radians(_number_key(dof, "max_deg", where))
             if lo > hi:
                 raise SkeletonError(f"joint {jid}: min bound exceeds max bound")
             sub_name = rj.get("name", f"joint{jid}")
@@ -152,7 +164,7 @@ def load_skeleton(config_text: str) -> Skeleton:
             # first sit at zero offset from their predecessor
             names.append(f"{sub_name}.{k}" if len(dofs) > 1 else sub_name)
             parents.append(parent_idx if k == 0 else len(parents) - 1)
-            offsets.append(_key(rj, "offset", f"joint {jid}") if k == 0 else np.zeros(3))
+            offsets.append(_number_key(rj, "offset", f"joint {jid}", 3) if k == 0 else np.zeros(3))
             axes.append(axis)
             lows.append(lo)
             highs.append(hi)
@@ -168,7 +180,7 @@ def load_skeleton(config_text: str) -> Skeleton:
         joint = _int_key(rl, "joint", f"landmark {lid}")
         if joint not in last_sub:
             raise SkeletonError(f"landmark {lid} references unknown joint {joint}")
-        placed[lid] = (last_sub[joint], _key(rl, "local", f"landmark {lid}"))
+        placed[lid] = (last_sub[joint], _number_key(rl, "local", f"landmark {lid}", 3))
     if placed.keys() != set(range(len(placed))):
         raise SkeletonError("landmark ids must be contiguous from 0")
     lmk_joint = [placed[i][0] for i in range(len(placed))]

@@ -6,7 +6,8 @@ recovery relative to a support F holds iff every such vector carries
 strictly less l1 mass on F than off F.  The check fixes the signs on F
 (2^|F| patterns, halved by symmetry) and solves one small LP per pattern,
 so a verdict is decided, not sampled: "holds" rests on the LP optima and
-"fails" carries a counterexample.
+"fails" carries a counterexample.  The LPs go to HiGHS through the same
+builder as solvers' basis pursuit.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .camera import SystemMatrices, reduce_system
 from .solvers import BudgetExceededError, SolverError, Support
+# bound under this name because the benchmark's traced run wraps pksp.linprog
+from .solvers import _highs_lp as linprog
 
 _AMBIGUITY_TOL = 1e-9  # build_ambiguous_observation's membership and inequality slack
 
@@ -61,45 +63,27 @@ def _sign_pattern_lp(Z, on_idx, off_idx, signs):
     """Max of the normalized gap over ambiguity vectors with fixed signs on F.
 
     Variables: c (k coords in the basis), a_j, b_j >= 0 splitting the
-    off-support entries.  With the l1 normalization fixed to 1, maximizing
-    the gap is equivalent to minimizing the off-support mass sum(a + b);
-    the optimum is 1 - 2 * min.  Returns (value, v) or None if no ambiguity
-    vector has this sign pattern.
+    off-support entries.  Rows: (Zc)_j - a_j + b_j = 0 for j off F,
+    sum_i s_i (Zc)_i + sum(a + b) = 1, and s_i (Zc)_i >= 0 on F.  With the
+    l1 normalization fixed to 1, maximizing the gap is equivalent to
+    minimizing the off-support mass sum(a + b); the optimum is 1 - 2 * min.
+    Returns (value, v), or (-inf, None) if no ambiguity vector has these signs.
     """
-    k = Z.shape[1]
-    f = len(on_idx)
-    q = len(off_idx)
-    nvar = k + 2 * q
-    c_obj = np.zeros(nvar)
-    c_obj[k:] = 1.0
-    # equalities: (Zc)_j - a_j + b_j = 0 for j off F; sum_i s_i (Zc)_i + sum(a+b) = 1
-    A_eq = np.zeros((q + 1, nvar))
-    b_eq = np.zeros(q + 1)
-    A_eq[:q, :k] = Z[off_idx]
-    A_eq[np.arange(q), k + np.arange(q)] = -1.0
-    A_eq[np.arange(q), k + q + np.arange(q)] = 1.0
-    A_eq[q, :k] = signs @ Z[on_idx]
-    A_eq[q, k:] = 1.0
-    b_eq[q] = 1.0
-    # inequalities: -s_i (Zc)_i <= 0 on F
-    if f:
-        A_ub = np.zeros((f, nvar))
-        A_ub[:, :k] = -(signs[:, None] * Z[on_idx])
-        b_ub = np.zeros(f)
-    else:
-        A_ub = None
-        b_ub = None
-    bounds = [(None, None)] * k + [(0, None)] * (2 * q)
-    res = linprog(
-        c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs"
-    )
-    if res.status == 2:  # infeasible: no such sign pattern in the subspace
-        return None
-    if not res.success:
-        raise SolverError(f"sign-pattern LP failed: {res.message}")
-    value = 1.0 - 2.0 * res.fun
-    v = Z @ res.x[:k]
-    return value, v
+    k, q, f = Z.shape[1], len(off_idx), len(on_idx)
+    Z_on = signs[:, None] * Z[on_idx]
+    A = np.block([
+        [Z[off_idx], -np.eye(q), np.eye(q)],
+        [Z_on.sum(axis=0)[None], np.ones((1, 2 * q))],
+        [Z_on, np.zeros((f, 2 * q))],
+    ])
+    row_lo = np.r_[np.zeros(q), 1.0, np.zeros(f)]
+    row_hi = np.r_[np.zeros(q), 1.0, np.full(f, np.inf)]
+    cost = np.r_[np.zeros(k), np.ones(2 * q)]
+    col_lo = np.r_[np.full(k, -np.inf), np.zeros(2 * q)]
+    _, x, _, _ = linprog("sign-pattern", cost, A, row_lo, row_hi, col_lo, np.inf)
+    if x is None:  # infeasible, the only other end of an LP with no iteration limit
+        return -np.inf, None
+    return 1.0 - 2.0 * float(np.sum(x[k:])), Z @ x[:k]
 
 
 def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
@@ -124,15 +108,10 @@ def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
         # F empty: gap = -1 for every nonzero ambiguity vector
         return PkspVerdict(True, 1.0, None)
     off_idx = np.delete(np.arange(d), on_idx)
-    worst = -np.inf
-    worst_v = None
+    worst, worst_v = -np.inf, None
     # v -> -v symmetry: fix the first sign to +1
     for tail in itertools.product((1.0, -1.0), repeat=f - 1):
-        signs = np.array((1.0,) + tail)
-        out = _sign_pattern_lp(Z, on_idx, off_idx, signs)
-        if out is None:
-            continue
-        value, v = out
+        value, v = _sign_pattern_lp(Z, on_idx, off_idx, np.array((1.0,) + tail))
         if value > worst:
             worst, worst_v = value, v
     if worst == -np.inf:

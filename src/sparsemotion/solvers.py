@@ -1,11 +1,12 @@
 """Estimators for y = A rho + B omega: l1 basis pursuit as an exact HiGHS
 linear program, the minimum-l2-norm baseline, and a brute-force l0 oracle.
 
-The basis-pursuit LP is built straight into HiGHS's Python binding, the one
+Every LP of the program, the basis pursuit here and pksp's sign-pattern
+LPs, is built by _highs_lp straight into HiGHS's Python binding, the one
 scipy ships as scipy.optimize._highspy._core, and solved by the dual
-simplex with presolve off.  Most of a scipy.optimize.linprog call goes to
-checking its input and building the model; on these small dense LPs
-presolve costs more than it saves.
+simplex with presolve off.  Most of a call through scipy's public LP front
+end goes to checking its input and building the model; on these small
+dense LPs presolve costs more than it saves.
 
 The l1 and l2 solvers work on the reduced problem Btilde omega = ytilde
 obtained by projecting out the 6-dimensional rigid block, and recover rho
@@ -26,13 +27,13 @@ from .camera import AssemblyError, SystemMatrices
 
 _DEG5 = math.radians(5.0)
 
-# the HiGHS model statuses that end a basis-pursuit LP with a termination
+# the HiGHS model statuses that end an LP with a termination
 _TERMINATION = {
     highs.HighsModelStatus.kOptimal: "converged",
     highs.HighsModelStatus.kIterationLimit: "max_iter",
     highs.HighsModelStatus.kInfeasible: "infeasible",
 }
-# simplex_strategy 1 is the dual simplex, as linprog sets it
+# simplex_strategy 1 is the dual simplex, as scipy's LP front end sets it
 _HIGHS_OPTIONS = {"output_flag": False, "presolve": "off", "simplex_strategy": 1}
 _LP_FEAS_TOL = 1e-7  # HiGHS's default primal feasibility tolerance
 
@@ -108,53 +109,62 @@ def extract_support(omega, epsilon: float) -> Support:
 
 
 def _observation_vector(sys: SystemMatrices, y) -> np.ndarray:
-    """The stacked observation, checked to have one entry per system row."""
+    """The stacked observation, checked to have one finite entry per system row."""
     yv = np.asarray(y, dtype=float)
     if yv.shape != (sys.A.shape[0],):
         raise AssemblyError(
             f"observation has {yv.size} entries but the assembled system has "
             f"{sys.A.shape[0]} rows"
         )
+    if not np.all(np.isfinite(yv)):  # HiGHS calls a NaN model optimal; l2 returns NaN
+        raise ValueError("observation must be finite")
     return yv
 
 
-def _basis_pursuit_lp(Vr, b, upper, max_iter):
-    """min 1'(p + n) s.t. Vr'(p - n) = b, 0 <= p, n <= upper (None: no bound).
-
-    Solved on a fresh HiGHS instance, since a live one holds its memory.
-    Returns (status, w, u, iterations), status a key of _TERMINATION, with
-    w = p - n and the certificate u = Vr @ lambda for the row duals lambda
-    (the sign of linprog's eqlin.marginals); w and u are None unless the LP
-    was solved.  Any other HiGHS status raises SolverError.
+def _highs_lp(what, cost, A, row_lo, row_hi, col_lo, col_hi, max_iter=None):
+    """min cost'x s.t. row_lo <= A x <= row_hi, col_lo <= x <= col_hi (+-inf: no
+    bound) on a fresh HiGHS instance, since a live one holds its memory.
+    Returns (status, x, row_dual, iterations), status a key of _TERMINATION;
+    x and the row duals (the sign scipy reports as eqlin.marginals) are None
+    unless the LP was solved.  Any other status raises SolverError naming what.
     """
-    d, r = Vr.shape
+    r, n = A.shape
     lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = 2 * d, r
-    lp.col_cost_ = np.ones(2 * d)
-    lp.col_lower_ = np.zeros(2 * d)
-    lp.col_upper_ = np.full(2 * d, highs.kHighsInf if upper is None else upper)
-    lp.row_lower_ = lp.row_upper_ = b
-    a = lp.a_matrix_  # the dense rows [Vr', -Vr'], one after another
+    lp.num_col_, lp.num_row_ = n, r
+    lp.col_cost_ = cost
+    lp.col_lower_, lp.col_upper_ = np.broadcast_to(col_lo, n), np.broadcast_to(col_hi, n)
+    lp.row_lower_, lp.row_upper_ = np.broadcast_to(row_lo, r), np.broadcast_to(row_hi, r)
+    a = lp.a_matrix_
     a.format_ = highs.MatrixFormat.kRowwise
-    a.num_col_, a.num_row_ = 2 * d, r
-    a.start_ = np.arange(0, 2 * d * r + 1, 2 * d)
-    a.index_ = np.tile(np.arange(2 * d), r)
-    a.value_ = np.hstack([Vr.T, -Vr.T]).ravel()
+    a.num_col_, a.num_row_ = n, r
+    a.start_ = np.arange(0, n * r + 1, n)
+    a.index_ = np.tile(np.arange(n), r)
+    a.value_ = A.ravel()
     h = highs._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         h.setOptionValue(name, value)
-    h.setOptionValue("simplex_iteration_limit", int(max_iter))
+    if max_iter is not None:
+        h.setOptionValue("simplex_iteration_limit", int(max_iter))
     h.passModel(lp)
     h.run()
     status = h.getModelStatus()
     iterations = h.getInfo().simplex_iteration_count
     if status == highs.HighsModelStatus.kOptimal:
         sol = h.getSolution()
-        x, lam = np.asarray(sol.col_value), np.asarray(sol.row_dual)
-        return status, x[:d] - x[d:], Vr @ lam, iterations
+        return status, np.asarray(sol.col_value), np.asarray(sol.row_dual), iterations
     if status in _TERMINATION:
         return status, None, None, iterations
-    raise SolverError(f"basis-pursuit LP failed: {h.modelStatusToString(status)}")
+    raise SolverError(f"{what} LP failed: {h.modelStatusToString(status)}")
+
+
+def _basis_pursuit_lp(Vr, b, upper, max_iter):
+    """min 1'(p + n) s.t. Vr'(p - n) = b, 0 <= p, n <= upper, as _highs_lp's
+    (status, w, u, iterations) with w = p - n and the certificate u = Vr @
+    lambda for the row duals lambda."""
+    d = Vr.shape[0]
+    A = np.hstack([Vr.T, -Vr.T])
+    status, x, lam, nit = _highs_lp("basis-pursuit", np.ones(2 * d), A, b, b, 0.0, upper, max_iter)
+    return (status, None, None, nit) if x is None else (status, x[:d] - x[d:], Vr @ lam, nit)
 
 
 def _kkt_violation(w, u, upper) -> float:
@@ -165,7 +175,7 @@ def _kkt_violation(w, u, upper) -> float:
     feasibility tolerance of zero or of the box count as there.
     """
     on = np.abs(w) > _LP_FEAS_TOL
-    at_box = on & (np.abs(w) >= upper - _LP_FEAS_TOL) if upper is not None else False
+    at_box = on & (np.abs(w) >= upper - _LP_FEAS_TOL)
     sgn = np.sign(w)
     viol = np.where(on, np.abs(u - sgn), np.abs(u) - 1.0)
     viol = np.where(at_box, 1.0 - sgn * u, viol)
@@ -184,16 +194,14 @@ def solve_rf(sys: SystemMatrices, y, opts: SolveOptions = SolveOptions()):
     counts as converged.  Returns (DifferentialMotion, SolveStats).
     """
     yv = _observation_vector(sys, y)
-    if not np.all(np.isfinite(yv)):  # HiGHS would call a NaN model optimal
-        raise ValueError("observation must be finite")
     Vr, x0 = sys.reduction.row_space, sys.reduction.min_norm(yv)
     scale = float(np.max(np.abs(x0), initial=0.0)) or 1.0
     b = Vr.T @ x0 / scale
-    upper = opts.omega_max / scale if opts.box_enabled else None
+    upper = opts.omega_max / scale if opts.box_enabled else np.inf
     status, w, u, iters = _basis_pursuit_lp(Vr, b, upper, opts.max_iter)
     termination = _TERMINATION[status]
     if termination == "infeasible":  # only the box can cut the affine set off
-        _, w, u, nit = _basis_pursuit_lp(Vr, b, None, opts.max_iter)
+        _, w, u, nit = _basis_pursuit_lp(Vr, b, np.inf, opts.max_iter)
         iters += nit
     if w is None:  # iteration limit: fall back on the min-norm point
         w, u = x0 / scale, np.zeros_like(x0)

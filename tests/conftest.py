@@ -92,8 +92,9 @@ def in_bounds_pose(skel, rng, spread=0.5, depth=3.0) -> Pose:
 
 
 def plant_highs_status(monkeypatch, status):
-    """End every basis-pursuit LP in the HiGHS model status given: the
-    instances solvers makes report it where _basis_pursuit_lp reads it."""
+    """End every LP, basis pursuit and sign pattern alike, in the HiGHS
+    model status given: the instances solvers makes report it where
+    _highs_lp reads it."""
     class Planted(solvers.highs._Highs):
         def getModelStatus(self):
             return status

@@ -4,9 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
-from sparsemotion import pksp, solvers
+from sparsemotion import solvers
 from sparsemotion.camera import CameraModel, assemble_system
 from sparsemotion.cli import run
 from sparsemotion.experiments import sample_pose
@@ -93,16 +92,6 @@ def synth_bench(sweep=None, skeleton=None):
     return argv
 
 
-def linprog_status(module, status, message):
-    """Plants a scipy linprog status in module's linprog."""
-    def plant(monkeypatch):
-        monkeypatch.setattr(
-            module, "linprog",
-            lambda *a, **k: OptimizeResult(status=status, success=False,
-                                           message=message))
-    return plant
-
-
 def unsamplable_toy8() -> str:
     """toy8 with landmark 0 at the camera's depth 0 in every pose."""
     cfg = json.loads(toy8_config())
@@ -141,6 +130,26 @@ def unsamplable_toy8() -> str:
     pytest.param(validate_edited(lambda c: c["landmarks"][2].update(joint=[3])),
                  None, 1, "landmark 2: joint [3] is not an integer",
                  id="skeleton-landmark-joint-list"),
+    pytest.param(validate_edited(
+                     lambda c: c["joints"][1]["dof"][0].update(min_deg="x")),
+                 None, 1, "joint 1 dof 0: min_deg 'x' is not a number",
+                 id="skeleton-min-deg-string"),
+    pytest.param(validate_edited(
+                     lambda c: c["joints"][1]["dof"][2].update(max_deg=None)),
+                 None, 1, "joint 1 dof 2: max_deg None is not a number",
+                 id="skeleton-max-deg-null"),
+    pytest.param(validate_edited(
+                     lambda c: c["joints"][1]["dof"][1].update(axis={"x": 1})),
+                 None, 1, "joint 1 dof 1: axis {'x': 1} is not 3 numbers",
+                 id="skeleton-axis-object"),
+    pytest.param(validate_edited(
+                     lambda c: c["joints"][2].update(offset=[0.0, 0.15])),
+                 None, 1, "joint 2: offset [0.0, 0.15] is not 3 numbers",
+                 id="skeleton-offset-short"),
+    pytest.param(validate_edited(
+                     lambda c: c["landmarks"][2].update(local=[0, "x", 0])),
+                 None, 1, "landmark 2: local [0, 'x', 0] is not 3 numbers",
+                 id="skeleton-local-string-entry"),
     pytest.param(synth_bench(skeleton=unsamplable_toy8()),
                  None, 1, "could not sample a pose", id="synth-bench-unsamplable"),
     pytest.param(synth_bench({"occlude_landmark": 99}),
@@ -170,22 +179,24 @@ def unsamplable_toy8() -> str:
                  "basis-pursuit LP failed: Solve error", id="rf-lp-status-4"),
     pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
                                "12,27"],
-                 linprog_status(pksp, 4, "numerical"), 2,
-                 "sign-pattern LP failed: numerical",
+                 lambda mp: plant_highs_status(
+                     mp, solvers.highs.HighsModelStatus.kSolveError), 2,
+                 "sign-pattern LP failed: Solve error",
                  id="pksp-lp-status-4"),
     pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
                                "12,27"],
-                 linprog_status(pksp, 2, "infeasible"), 2,
+                 lambda mp: plant_highs_status(
+                     mp, solvers.highs.HighsModelStatus.kInfeasible), 2,
                  "no sign-pattern LP was feasible",
                  id="pksp-all-lps-infeasible"),
 ])
 def test_failing_exit(argv, lp_fault, code, message, paths, tmp_path, capsys,
                       monkeypatch):
     """The failing exits of the CLI contract: 1 for an input error, 2 for a
-    resource or convergence failure (here an LP status that lp_fault
-    plants: a HiGHS solve error in solvers, or linprog's 4, numerical
-    trouble, or 2, infeasible, in pksp), each reported as one "error: ..."
-    on stderr and never as a traceback."""
+    resource or convergence failure (here a HiGHS model status that
+    lp_fault plants in every LP: a solve error, or infeasible, which leaves
+    pksp no sign pattern), each reported as one "error: ..." on stderr and
+    never as a traceback."""
     if lp_fault is not None:
         lp_fault(monkeypatch)
     assert run(argv(paths, tmp_path)) == code

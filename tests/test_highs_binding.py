@@ -1,4 +1,5 @@
-"""Guard on scipy's private HiGHS binding, which solvers builds its LP on.
+"""Guard on scipy's private HiGHS binding, which solvers builds every LP
+on: its own basis pursuit and pksp's sign-pattern LPs.
 
 scipy.optimize._highspy._core is not public API, so a scipy release may
 move or rename it.  When the module itself is gone, importing sparsemotion
@@ -11,7 +12,7 @@ from scipy.optimize._highspy import _core as highs
 
 from sparsemotion import solvers
 
-NAMES = ("HighsLp", "_Highs", "MatrixFormat", "HighsModelStatus", "kHighsInf")
+NAMES = ("HighsLp", "_Highs", "MatrixFormat", "HighsModelStatus")
 MEMBERS = {
     "HighsModelStatus": ("kOptimal", "kIterationLimit", "kInfeasible"),
     "MatrixFormat": ("kRowwise",),

@@ -2,9 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import linprog
 
-from sparsemotion import pksp, solvers
+from sparsemotion import solvers
 from sparsemotion.pksp import (
     BudgetExceededError,
     InvalidCounterexampleError,
@@ -15,6 +15,37 @@ from sparsemotion.pksp import (
 )
 from sparsemotion.camera import RankDeficientError
 from sparsemotion.solvers import SolverError, Support
+
+from conftest import plant_highs_status
+
+
+def linprog_verdict(Z, F):
+    """(holds, margin) as check_pksp decides them, from the sign-pattern LPs
+    in equality/inequality form solved by scipy's linprog: the reference
+    for the LP check_pksp hands to HiGHS directly."""
+    d, k = Z.shape
+    on = np.asarray(F)
+    off = np.delete(np.arange(d), on)
+    f, q = on.size, off.size
+    worst = -np.inf
+    for tail in itertools.product((1.0, -1.0), repeat=f - 1):
+        signs = np.array((1.0,) + tail)
+        A_eq = np.zeros((q + 1, k + 2 * q))
+        A_eq[:q] = np.hstack([Z[off], -np.eye(q), np.eye(q)])
+        A_eq[q, :k] = signs @ Z[on]
+        A_eq[q, k:] = 1.0
+        b_eq = np.zeros(q + 1)
+        b_eq[q] = 1.0
+        A_ub = np.hstack([-(signs[:, None] * Z[on]), np.zeros((f, 2 * q))])
+        res = linprog(np.r_[np.zeros(k), np.ones(2 * q)], A_ub=A_ub,
+                      b_ub=np.zeros(f), A_eq=A_eq, b_eq=b_eq,
+                      bounds=[(None, None)] * k + [(0, None)] * (2 * q),
+                      method="highs")
+        if res.status == 2:  # no ambiguity vector has this sign pattern
+            continue
+        assert res.success, res.message
+        worst = max(worst, 1.0 - 2.0 * res.fun)
+    return worst < 0.0, -worst
 
 
 def line_basis(v):
@@ -134,23 +165,34 @@ class TestCheckPkspExact:
     def test_budget_error_is_the_solvers_class(self):
         assert BudgetExceededError is solvers.BudgetExceededError
 
+    def test_matches_linprog_reference(self, toy12_system, skel40_system):
+        """Every toy12 support of size 1-3 and skel40 support of size 1-2
+        gets linprog's verdict, and its margin to 1e-9."""
+        cases = [(toy12_system, F) for s in (1, 2, 3)
+                 for F in itertools.combinations(range(12), s)]
+        cases += [(skel40_system, F) for s in (1, 2)
+                  for F in itertools.combinations(range(40), s)]
+        n_holding = 0
+        for sys_m, F in cases:
+            Z = sys_m.reduction.null_space
+            verdict = check_pksp(Z, F)
+            holds, margin = linprog_verdict(Z, F)
+            assert verdict.holds == holds, F
+            assert verdict.margin == pytest.approx(margin, abs=1e-9), F
+            n_holding += holds
+        assert 0 < n_holding < len(cases)
+
     def test_unexpected_lp_status_raises(self, toy12_system, monkeypatch):
         """A HiGHS status that is neither optimal nor infeasible decides
         nothing, so no verdict is returned."""
-        monkeypatch.setattr(
-            pksp, "linprog",
-            lambda *a, **k: OptimizeResult(status=4, success=False,
-                                           message="numerical"))
-        with pytest.raises(SolverError, match="numerical"):
+        plant_highs_status(monkeypatch, solvers.highs.HighsModelStatus.kSolveError)
+        with pytest.raises(SolverError, match="sign-pattern LP failed: Solve error"):
             check_pksp(toy12_system.reduction.null_space, (1, 2))
 
     def test_all_lps_infeasible_raises(self, skel40_system, monkeypatch):
         """A nonzero ambiguity subspace meets some sign pattern, so LPs that
         all report infeasible decide nothing; (0, 1) in truth fails."""
-        monkeypatch.setattr(
-            pksp, "linprog",
-            lambda *a, **k: OptimizeResult(status=2, success=False,
-                                           message="infeasible"))
+        plant_highs_status(monkeypatch, solvers.highs.HighsModelStatus.kInfeasible)
         with pytest.raises(SolverError, match="no sign-pattern LP was feasible"):
             check_pksp(skel40_system.reduction.null_space, (0, 1))
 

@@ -236,18 +236,27 @@ class TestSolveRF:
             solve_rf(skel40_system, skel40_system.B[:, 5] * 1e-3, TIGHT)
         assert not isinstance(info.value, ValueError)
 
-    def test_non_finite_observation_raises(self, skel40_system):
-        """HiGHS would call a model with a NaN row bound optimal."""
-        y = skel40_system.B[:, 5] * 1e-3
-        y[2] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            solve_rf(skel40_system, y, TIGHT)
-
     def test_option_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
         with pytest.raises(ValueError):
             SolveOptions(primal_tol=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda sys, y: solve_rf(sys, y, TIGHT), id="rf"),
+    pytest.param(solve_l2, id="l2"),
+    pytest.param(lambda sys, y: solve_l0_oracle(sys, y, s_max=2), id="l0"),
+])
+def test_non_finite_observation_raises(solve, bad, skel40_system):
+    """No solver turns a NaN or inf observation into an estimate: l2 would
+    return NaN rates, and HiGHS would call a model with a NaN row bound
+    optimal."""
+    y = skel40_system.B[:, 5] * 1e-3
+    y[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve(skel40_system, y)
 
 
 class TestSolveL2:
