@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -84,11 +85,15 @@ def _int_key(entry: dict, key: str, where: str) -> int:
 
 
 def _number_key(entry: dict, key: str, where: str, size: int = 0):
-    """_key's value, checked to be a number or, given size, size numbers."""
+    """_key's value, checked to be a finite number or, given size, size
+    finite numbers: JSON's NaN and Infinity, and an int past the largest
+    float, are refused."""
     value = _key(entry, key, where)
     items = value if size else [value]
     if (not isinstance(items, list) or len(items) != max(size, 1)
-            or not {int, float}.issuperset(map(type, items))):
+            or not {int, float}.issuperset(map(type, items))
+            # compares an int to the float bound exactly, without float(int)
+            or not all(abs(x) <= sys.float_info.max for x in items)):
         raise SkeletonError(f"{where}: {key} {value!r} is not "
                             + (f"{size} numbers" if size else "a number"))
     return value

@@ -2,11 +2,13 @@
 linear program, the minimum-l2-norm baseline, and a brute-force l0 oracle.
 
 Every LP of the program, the basis pursuit here and pksp's sign-pattern
-LPs, is built by _highs_lp straight into HiGHS's Python binding, the one
-scipy ships as scipy.optimize._highspy._core, and solved by the dual
-simplex with presolve off.  Most of a call through scipy's public LP front
-end goes to checking its input and building the model; on these small
-dense LPs presolve costs more than it saves.
+LPs, is handed by _highs_lp to HiGHS's Python binding, the one scipy ships
+as scipy.optimize._highspy._core, as arrays in one passModel call, and
+solved by the dual simplex with presolve off.  Most of a call through
+scipy's public LP front end goes to checking its input and building the
+model, and filling the binding's LP object field by field copies the matrix
+element by element; on these small dense LPs presolve costs more than it
+saves.
 
 The l1 and l2 solvers work on the reduced problem Btilde omega = ytilde
 obtained by projecting out the 6-dimensional rigid block, and recover rho
@@ -121,31 +123,35 @@ def _observation_vector(sys: SystemMatrices, y) -> np.ndarray:
     return yv
 
 
+def _full(v, shape) -> np.ndarray:
+    """v broadcast to shape as a contiguous float64 array: HiGHS's binding
+    reads the raw buffer, so a strided or broadcast view would be misread."""
+    return np.ascontiguousarray(np.broadcast_to(v, shape), dtype=float)
+
+
 def _highs_lp(what, cost, A, row_lo, row_hi, col_lo, col_hi, max_iter=None):
     """min cost'x s.t. row_lo <= A x <= row_hi, col_lo <= x <= col_hi (+-inf: no
     bound) on a fresh HiGHS instance, since a live one holds its memory.
+    The dense A goes to HiGHS row-wise as arrays in one passModel call.
     Returns (status, x, row_dual, iterations), status a key of _TERMINATION;
     x and the row duals (the sign scipy reports as eqlin.marginals) are None
-    unless the LP was solved.  Any other status raises SolverError naming what.
+    unless the LP was solved.  A model HiGHS rejects, or any other status,
+    raises SolverError naming what.
     """
     r, n = A.shape
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = n, r
-    lp.col_cost_ = cost
-    lp.col_lower_, lp.col_upper_ = np.broadcast_to(col_lo, n), np.broadcast_to(col_hi, n)
-    lp.row_lower_, lp.row_upper_ = np.broadcast_to(row_lo, r), np.broadcast_to(row_hi, r)
-    a = lp.a_matrix_
-    a.format_ = highs.MatrixFormat.kRowwise
-    a.num_col_, a.num_row_ = n, r
-    a.start_ = np.arange(0, n * r + 1, n)
-    a.index_ = np.tile(np.arange(n), r)
-    a.value_ = A.ravel()
     h = highs._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         h.setOptionValue(name, value)
     if max_iter is not None:
         h.setOptionValue("simplex_iteration_limit", int(max_iter))
-    h.passModel(lp)
+    # an empty integrality array makes passModel reject the model
+    passed = h.passModel(
+        n, r, n * r, highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize, 0.0,
+        _full(cost, n), _full(col_lo, n), _full(col_hi, n), _full(row_lo, r), _full(row_hi, r),
+        np.arange(0, n * r, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), r),
+        _full(A, (r, n)).ravel(), np.zeros(n, dtype=np.int32))
+    if passed == highs.HighsStatus.kError:
+        raise SolverError(f"{what} LP failed: HiGHS rejected the model")
     h.run()
     status = h.getModelStatus()
     iterations = h.getInfo().simplex_iteration_count

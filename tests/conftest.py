@@ -102,6 +102,17 @@ def plant_highs_status(monkeypatch, status):
     monkeypatch.setattr(solvers.highs, "_Highs", Planted)
 
 
+def plant_pass_model_error(monkeypatch):
+    """Make HiGHS reject every LP model solvers hands it: passModel returns
+    kError, as it does for an integrality array of the wrong length."""
+    class Planted(solvers.highs._Highs):
+        def passModel(self, *args):
+            super().passModel(*args)
+            return solvers.highs.HighsStatus.kError
+
+    monkeypatch.setattr(solvers.highs, "_Highs", Planted)
+
+
 @pytest.fixture(scope="session")
 def skel40():
     return default_skeleton()

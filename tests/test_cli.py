@@ -150,6 +150,22 @@ def unsamplable_toy8() -> str:
                      lambda c: c["landmarks"][2].update(local=[0, "x", 0])),
                  None, 1, "landmark 2: local [0, 'x', 0] is not 3 numbers",
                  id="skeleton-local-string-entry"),
+    pytest.param(validate_edited(
+                     lambda c: c["joints"][1]["dof"][0].update(min_deg=float("nan"))),
+                 None, 1, "joint 1 dof 0: min_deg nan is not a number",
+                 id="skeleton-min-deg-nan"),
+    pytest.param(validate_edited(
+                     lambda c: c["joints"][2].update(offset=[0, float("inf"), 0])),
+                 None, 1, "joint 2: offset [0, inf, 0] is not 3 numbers",
+                 id="skeleton-offset-infinity"),
+    pytest.param(validate_edited(
+                     lambda c: c["joints"][1]["dof"][2].update(max_deg=10**400)),
+                 None, 1, f"joint 1 dof 2: max_deg {10**400} is not a number",
+                 id="skeleton-max-deg-401-digits"),
+    pytest.param(validate_edited(
+                     lambda c: c["joints"][2].update(offset=[0, -10**400, 0])),
+                 None, 1, "joint 2: offset [0, -1000",
+                 id="skeleton-offset-401-digits"),
     pytest.param(synth_bench(skeleton=unsamplable_toy8()),
                  None, 1, "could not sample a pose", id="synth-bench-unsamplable"),
     pytest.param(synth_bench({"occlude_landmark": 99}),

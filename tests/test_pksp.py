@@ -16,7 +16,7 @@ from sparsemotion.pksp import (
 from sparsemotion.camera import RankDeficientError
 from sparsemotion.solvers import SolverError, Support
 
-from conftest import plant_highs_status
+from conftest import plant_highs_status, plant_pass_model_error
 
 
 def linprog_verdict(Z, F):
@@ -46,6 +46,32 @@ def linprog_verdict(Z, F):
         assert res.success, res.message
         worst = max(worst, 1.0 - 2.0 * res.fun)
     return worst < 0.0, -worst
+
+
+def per_pattern_verdict(Z, F):
+    """check_pksp with each sign pattern's LP matrix built anew by np.block:
+    the reference for the one matrix check_pksp rewrites in place."""
+    d, k = Z.shape
+    on = np.asarray(F)
+    off = np.delete(np.arange(d), on)
+    f, q = on.size, off.size
+    worst, worst_v = -np.inf, None
+    for tail in itertools.product((1.0, -1.0), repeat=f - 1):
+        Z_on = np.array((1.0,) + tail)[:, None] * Z[on]
+        A = np.block([
+            [Z[off], -np.eye(q), np.eye(q)],
+            [Z_on.sum(axis=0)[None], np.ones((1, 2 * q))],
+            [Z_on, np.zeros((f, 2 * q))],
+        ])
+        _, x, _, _ = solvers._highs_lp(
+            "sign-pattern", np.r_[np.zeros(k), np.ones(2 * q)], A,
+            np.r_[np.zeros(q), 1.0, np.zeros(f)], np.r_[np.zeros(q), 1.0, np.full(f, np.inf)],
+            np.r_[np.full(k, -np.inf), np.zeros(2 * q)], np.inf)
+        value = -np.inf if x is None else 1.0 - 2.0 * float(np.sum(x[k:]))
+        if value > worst:
+            worst, worst_v = value, Z @ x[:k]
+    counter = None if worst < 0.0 else worst_v / np.sum(np.abs(worst_v))
+    return worst < 0.0, float(-worst), counter
 
 
 def line_basis(v):
@@ -181,6 +207,30 @@ class TestCheckPkspExact:
             assert verdict.margin == pytest.approx(margin, abs=1e-9), F
             n_holding += holds
         assert 0 < n_holding < len(cases)
+
+    def test_matches_per_pattern_matrices(self, skel40_system):
+        """Rewriting one matrix's sign rows gives each LP bit for bit the
+        matrix built per pattern: same verdicts, margins, counterexamples."""
+        Z = skel40_system.reduction.null_space
+        rng = np.random.default_rng(16)
+        supports = [tuple(sorted(rng.choice(40, size=s, replace=False)))
+                    for s in (1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5)]
+        kinds = set()
+        for F in supports:
+            verdict = check_pksp(Z, F)
+            holds, margin, counter = per_pattern_verdict(Z, F)
+            assert (verdict.holds, verdict.margin) == (holds, margin), F
+            assert (None if counter is None else counter.tobytes()) == (
+                None if verdict.counterexample is None
+                else verdict.counterexample.tobytes()), F
+            kinds.add(holds)
+        assert kinds == {True, False}
+
+    def test_rejected_model_raises(self, toy12_system, monkeypatch):
+        """A model HiGHS will not take decides nothing."""
+        plant_pass_model_error(monkeypatch)
+        with pytest.raises(SolverError, match="sign-pattern LP failed"):
+            check_pksp(toy12_system.reduction.null_space, (1, 2))
 
     def test_unexpected_lp_status_raises(self, toy12_system, monkeypatch):
         """A HiGHS status that is neither optimal nor infeasible decides

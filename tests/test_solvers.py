@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsemotion import solvers
+from sparsemotion import pksp, solvers
 from sparsemotion.camera import RankDeficientError, assemble_system, reduce_system
 from sparsemotion.experiments import (
     TrialConfig,
@@ -22,7 +22,7 @@ from sparsemotion.solvers import (
     solve_rf,
 )
 
-from conftest import in_bounds_pose, plant_highs_status
+from conftest import in_bounds_pose, plant_highs_status, plant_pass_model_error
 
 TIGHT = SolveOptions(max_iter=20000, primal_tol=1e-10, dual_tol=1e-10,
                      box_enabled=False)
@@ -236,6 +236,12 @@ class TestSolveRF:
             solve_rf(skel40_system, skel40_system.B[:, 5] * 1e-3, TIGHT)
         assert not isinstance(info.value, ValueError)
 
+    def test_rejected_model_raises(self, skel40_system, monkeypatch):
+        """A model HiGHS will not take is never solved, so no estimate."""
+        plant_pass_model_error(monkeypatch)
+        with pytest.raises(SolverError, match="basis-pursuit LP failed"):
+            solve_rf(skel40_system, skel40_system.B[:, 5] * 1e-3, TIGHT)
+
     def test_option_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
@@ -257,6 +263,93 @@ def test_non_finite_observation_raises(solve, bad, skel40_system):
     y[3] = bad
     with pytest.raises(ValueError, match="finite"):
         solve(skel40_system, y)
+
+
+def highs_lp_object_reference(what, cost, A, row_lo, row_hi, col_lo, col_hi,
+                              max_iter=None):
+    """_highs_lp as it was built on a HighsLp object, field by field: the
+    reference for the array hand-off, which must give HiGHS the same LP."""
+    core = solvers.highs
+    r, n = A.shape
+    lp = core.HighsLp()
+    lp.num_col_, lp.num_row_ = n, r
+    lp.col_cost_ = cost
+    lp.col_lower_, lp.col_upper_ = np.broadcast_to(col_lo, n), np.broadcast_to(col_hi, n)
+    lp.row_lower_, lp.row_upper_ = np.broadcast_to(row_lo, r), np.broadcast_to(row_hi, r)
+    a = lp.a_matrix_
+    a.format_ = core.MatrixFormat.kRowwise
+    a.num_col_, a.num_row_ = n, r
+    a.start_ = np.arange(0, n * r + 1, n)
+    a.index_ = np.tile(np.arange(n), r)
+    a.value_ = A.ravel()
+    h = core._Highs()
+    for name, value in solvers._HIGHS_OPTIONS.items():
+        h.setOptionValue(name, value)
+    if max_iter is not None:
+        h.setOptionValue("simplex_iteration_limit", int(max_iter))
+    h.passModel(lp)
+    h.run()
+    status = h.getModelStatus()
+    iterations = h.getInfo().simplex_iteration_count
+    if status == core.HighsModelStatus.kOptimal:
+        sol = h.getSolution()
+        return status, np.asarray(sol.col_value), np.asarray(sol.row_dual), iterations
+    return status, None, None, iterations
+
+
+def recorded_lps(monkeypatch, module, name, run):
+    """The argument tuples of every LP run() hands to module.name, arrays
+    copied: check_pksp rewrites one matrix in place between patterns."""
+    calls, real = [], getattr(module, name)
+
+    def record(*args):
+        calls.append(tuple(np.array(a) if isinstance(a, np.ndarray) else a for a in args))
+        return real(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(module, name, record)
+        run()
+    return calls
+
+
+def as_bytes(result):
+    status, x, row_dual, iterations = result
+    return (status, iterations) + tuple(None if v is None else v.tobytes() for v in (x, row_dual))
+
+
+class TestArrayHandOff:
+    """_highs_lp hands HiGHS the LP the HighsLp object did, bit for bit."""
+
+    def test_basis_pursuit_lps(self, skel40, cam1145, monkeypatch):
+        rng = np.random.default_rng(11)
+        sys_m = assemble_system(skel40, sample_pose(skel40, np.random.default_rng(3)), cam1145)
+        y, _, _ = sparse_observation(sys_m, (4, 17, 30), [3e-2, -2e-2, 4e-2], rng=rng)
+        noisy = y + rng.normal(0.0, 2.0 / 1145.0, y.shape)
+        runs = [(y, SolveOptions(max_iter=20000, box_enabled=True)),
+                (y, TIGHT),
+                (noisy, SolveOptions(max_iter=20000, box_enabled=True)),
+                (y, SolveOptions(max_iter=3))]
+        calls = []
+        for obs, opts in runs:
+            calls += recorded_lps(monkeypatch, solvers, "_highs_lp",
+                                  lambda: solve_rf(sys_m, obs, opts))
+        statuses = set()
+        for args in calls:
+            expected = as_bytes(highs_lp_object_reference(*args))
+            assert as_bytes(solvers._highs_lp(*args)) == expected
+            statuses.add(expected[0])
+        # box on, box off, box-infeasible (then unboxed) and iteration limit
+        assert len(calls) == 5
+        assert statuses == set(solvers._TERMINATION)
+
+    def test_sign_pattern_lps(self, skel40_system, monkeypatch):
+        Z = skel40_system.reduction.null_space
+        calls = recorded_lps(monkeypatch, pksp, "linprog",
+                             lambda: pksp.check_pksp(Z, (4, 12, 27, 33)))
+        assert len(calls) == 8
+        for args in calls:
+            assert as_bytes(solvers._highs_lp(*args)) == as_bytes(
+                highs_lp_object_reference(*args))
 
 
 class TestSolveL2:
