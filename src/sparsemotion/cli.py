@@ -356,3 +356,7 @@ def run(argv=None) -> int:
 
 def main():  # pragma: no cover
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -20,6 +20,9 @@ from .solvers import SUPPORT_EPSILON, DifferentialMotion, SolveOptions, SolverEr
 from .solvers import solve_l2, solve_rf
 
 _DEG = math.pi / 180.0
+# box on: noisy equality solves are only meaningful with the +-5 deg clamp on
+# differential angles
+_TRIAL_SOLVE = SolveOptions(max_iter=20000, primal_tol=1e-10, dual_tol=1e-10, box_enabled=True)
 
 
 class SamplingError(ValueError):
@@ -146,36 +149,27 @@ def run_trial(
     cam: CameraModel,
     cfg: TrialConfig,
     rng,
-    solver_names=("rf", "l2"),
-    opts: SolveOptions | None = None,
     visible=None,
 ) -> dict[str, dict]:
-    """One synthesis + solve + metrics pass; returns {solver: record}.
+    """One synthesis + solve + metrics pass; returns {"rf": record, "l2": record}.
 
-    A record holds solver, accuracy, specificity, sensitivity (support
-    metrics), omega_err_inf, rho_err_inf, mpjpe, iterations and converged,
-    in that order; l2 reports 0 iterations and converged.
+    rf is solved with _TRIAL_SOLVE, then l2.  A record holds solver,
+    accuracy, specificity, sensitivity (support metrics), omega_err_inf,
+    rho_err_inf, mpjpe, iterations and converged, in that order; l2 reports
+    0 iterations and converged.
     """
-    # box on by default: noisy equality solves are only meaningful with the
-    # +-5 deg clamp on differential angles
-    opts = opts or SolveOptions(
-        max_iter=20000, primal_tol=1e-10, dual_tol=1e-10, box_enabled=True
-    )
     sys = assemble_system(skel, pose, cam, visible)
     motion = gen_sparse_motion(skel, pose, cfg.support_size, rng, cfg)
     y = synthesize_observation(
         skel, pose, motion, cam, cfg.noise_std_px, rng, sys=sys
     )
+    rf, stats = solve_rf(sys, y, _TRIAL_SOLVE)
+    l2 = solve_l2(sys, y)
     out = {}
-    for name in solver_names:
-        iters, conv = 0, True
-        if name == "rf":
-            est, stats = solve_rf(sys, y, opts)
-            iters, conv = stats.iterations, stats.converged
-        elif name == "l2":
-            est = solve_l2(sys, y)
-        else:
-            raise ValueError(f"unknown solver {name!r}")
+    for name, est, iters, conv in (
+        ("rf", rf, stats.iterations, stats.converged),
+        ("l2", l2, 0, True),
+    ):
         acc, spec, sens = support_metrics(est.omega, motion.omega)
         pose_hat = Pose(pose.camera_to_root, pose.theta + est.omega)
         pose_true = Pose(pose.camera_to_root, pose.theta + motion.omega)
@@ -203,20 +197,19 @@ def run_sweep(
     grid: list[tuple[int, float]],
     trials: int,
     seed: int,
-    solver_names=("rf", "l2"),
     occlude_landmark: int | None = None,
     magnitude_range: tuple[float, float] = (0.5 * _DEG, 5.0 * _DEG),
     rigid_scale: float = 1e-3,
-    opts: SolveOptions | None = None,
 ):
     """Grid sweep over (support size, noise std) cells, trials >= 1 each.
 
     Each trial draws its RNG stream from (seed, cell, trial), so a trial's
     result does not depend on the others.  Returns (rows, trial_records):
-    aggregated mean/std per cell and solver, plus one dict per trial and
-    solver, {cell, s, delta, trial} followed by run_trial's record.  Each
-    row also counts the cell's trials that raised (``errors``, left out of
-    ``trials``) and the solver's non-converged solves (``not_converged``).
+    aggregated mean/std per cell and solver (rf, then l2), plus one dict per
+    trial and solver, {cell, s, delta, trial} followed by run_trial's
+    record.  Each row also counts the cell's trials that raised (``errors``,
+    left out of ``trials``) and the solver's non-converged solves
+    (``not_converged``).
     A trial that cannot be sampled, assembled or solved (SamplingError,
     AssemblyError, RankDeficientError, SolverError) is recorded as {cell, s,
     delta, trial, error}; any other exception propagates.
@@ -231,15 +224,13 @@ def run_sweep(
     records = []
     for cell_idx, (s, delta) in enumerate(grid):
         cfg = TrialConfig(s, delta, magnitude_range, rigid_scale)
-        per_solver: dict[str, list[dict]] = {n: [] for n in solver_names}
+        per_solver: dict[str, list[dict]] = {"rf": [], "l2": []}
         errors = 0
         for t in range(trials):
             rng = np.random.default_rng((seed, cell_idx, t))
             key = {"cell": cell_idx, "s": s, "delta": delta, "trial": t}
             try:
-                res = run_trial(
-                    skel, poses[t % len(poses)], cam, cfg, rng, solver_names, opts, visible
-                )
+                res = run_trial(skel, poses[t % len(poses)], cam, cfg, rng, visible)
             except (AssemblyError, RankDeficientError, SamplingError, SolverError) as e:
                 errors += 1
                 records.append({**key, "error": str(e)})
@@ -247,8 +238,7 @@ def run_sweep(
             for name, r in res.items():
                 per_solver[name].append(r)
                 records.append({**key, **r})
-        for name in solver_names:
-            rs = per_solver[name]
+        for name, rs in per_solver.items():
             row = {
                 "s": s,
                 "delta": delta,

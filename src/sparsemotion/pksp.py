@@ -59,57 +59,23 @@ def _support_indices(F: Support | tuple) -> np.ndarray:
     return np.asarray((F if isinstance(F, Support) else Support(F)).indices, dtype=int)
 
 
-def _sign_pattern_model(Z, on_idx, off_idx):
-    """The sign-pattern LP of support on_idx as (A, row_lo, row_hi, cost,
-    col_lo), with the last f + 1 rows of A, which depend on the signs, zero
-    in their first k columns until _sign_pattern_lp writes them.
-
-    Variables: c (k coords in the basis), a_j, b_j >= 0 splitting the
-    off-support entries.  Rows: (Zc)_j - a_j + b_j = 0 for j off F,
-    sum_i s_i (Zc)_i + sum(a + b) = 1, and s_i (Zc)_i >= 0 on F.  With the
-    l1 normalization fixed to 1, maximizing the gap is equivalent to
-    minimizing the off-support mass sum(a + b); the optimum is 1 - 2 * min.
-    """
-    k, q, f = Z.shape[1], len(off_idx), len(on_idx)
-    A = np.block([
-        [Z[off_idx], -np.eye(q), np.eye(q)],
-        [np.zeros((1, k)), np.ones((1, 2 * q))],
-        [np.zeros((f, k + 2 * q))],
-    ])
-    row_lo = np.r_[np.zeros(q), 1.0, np.zeros(f)]
-    row_hi = np.r_[np.zeros(q), 1.0, np.full(f, np.inf)]
-    cost = np.r_[np.zeros(k), np.ones(2 * q)]
-    col_lo = np.r_[np.full(k, -np.inf), np.zeros(2 * q)]
-    return A, row_lo, row_hi, cost, col_lo
-
-
-def _sign_pattern_lp(model, Z, Z_F, signs):
-    """Max of the normalized gap over ambiguity vectors with these signs on F.
-
-    Writes the sign rows of _sign_pattern_model's A from Z_F, the rows of Z
-    on F, and solves the LP.  Returns (value, v), or (-inf, None) if no
-    ambiguity vector has these signs.
-    """
-    A, row_lo, row_hi, cost, col_lo = model
-    k, f = Z.shape[1], len(signs)
-    S = signs[:, None] * Z_F
-    A[-f - 1, :k] = S.sum(axis=0)
-    A[-f:, :k] = S
-    _, x, _, _ = linprog("sign-pattern", cost, A, row_lo, row_hi, col_lo, np.inf)
-    if x is None:  # infeasible, the only other end of an LP with no iteration limit
-        return -np.inf, None
-    return 1.0 - 2.0 * float(np.sum(x[k:])), Z @ x[:k]
-
-
 def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
     """Decide the exact-recovery property relative to support F.
 
     Z is a d x k orthonormal basis of the ambiguity null space
     (system.reduction.null_space or ambiguity_nullspace).  The check
     enumerates the 2^(|F|-1) sign patterns on F, for |F| <= 12, and is a
-    proof either way.  The LP matrix is built once per call, and each
-    pattern rewrites only its sign rows.  An LP that ends with no result,
-    or LPs that all report infeasible, raise SolverError.
+    proof either way.  An LP that ends with no result, or LPs that all
+    report infeasible, raise SolverError.
+
+    Each pattern's LP maximizes the normalized gap over ambiguity vectors
+    v = Zc with signs s on F.  Variables: c (k coords in the basis), a_j,
+    b_j >= 0 splitting the off-support entries.  Rows: (Zc)_j - a_j + b_j =
+    0 for j off F, sum_i s_i (Zc)_i + sum(a + b) = 1, and s_i (Zc)_i >= 0 on
+    F.  With the l1 normalization fixed to 1, maximizing the gap is
+    minimizing the off-support mass sum(a + b); the optimum is 1 - 2 * min.
+    The matrix is built once per call, and each pattern rewrites only its
+    last f + 1 rows, the ones that depend on the signs.
     """
     d, k = Z.shape
     on_idx = _support_indices(F)
@@ -124,14 +90,29 @@ def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
         # F empty: gap = -1 for every nonzero ambiguity vector
         return PkspVerdict(True, 1.0, None)
     off_idx = np.delete(np.arange(d), on_idx)
-    model = _sign_pattern_model(Z, on_idx, off_idx)
+    q = off_idx.size
+    A = np.block([
+        [Z[off_idx], -np.eye(q), np.eye(q)],
+        [np.zeros((1, k)), np.ones((1, 2 * q))],
+        [np.zeros((f, k + 2 * q))],
+    ])
+    row_lo = np.r_[np.zeros(q), 1.0, np.zeros(f)]
+    row_hi = np.r_[np.zeros(q), 1.0, np.full(f, np.inf)]
+    cost = np.r_[np.zeros(k), np.ones(2 * q)]
+    col_lo = np.r_[np.full(k, -np.inf), np.zeros(2 * q)]
     Z_F = Z[on_idx]
     worst, worst_v = -np.inf, None
     # v -> -v symmetry: fix the first sign to +1
     for tail in itertools.product((1.0, -1.0), repeat=f - 1):
-        value, v = _sign_pattern_lp(model, Z, Z_F, np.array((1.0,) + tail))
+        S = np.array((1.0,) + tail)[:, None] * Z_F
+        A[-f - 1, :k] = S.sum(axis=0)
+        A[-f:, :k] = S
+        _, x, _, _ = linprog("sign-pattern", cost, A, row_lo, row_hi, col_lo, np.inf)
+        if x is None:  # infeasible, the only other end of an LP with no iteration limit
+            continue  # no ambiguity vector has these signs
+        value = 1.0 - 2.0 * float(np.sum(x[k:]))
         if value > worst:
-            worst, worst_v = value, v
+            worst, worst_v = value, Z @ x[:k]
     if worst == -np.inf:
         # c = 0 with a = b = 1/(2q) is feasible when F misses a DoF, and a
         # nonzero vector of the subspace has some sign pattern when it does not

@@ -38,6 +38,7 @@ _TERMINATION = {
 # simplex_strategy 1 is the dual simplex, as scipy's LP front end sets it
 _HIGHS_OPTIONS = {"output_flag": False, "presolve": "off", "simplex_strategy": 1}
 _LP_FEAS_TOL = 1e-7  # HiGHS's default primal feasibility tolerance
+_L0_FEAS_TOL = 1e-8  # solve_l0_oracle's residual bound, relative to ||y||
 
 
 class BudgetExceededError(ValueError):
@@ -237,12 +238,12 @@ def solve_l2(sys: SystemMatrices, y) -> DifferentialMotion:
     return DifferentialMotion(sys.reduction.rigid_rates(yv - sys.B @ omega), omega)
 
 
-def solve_l0_oracle(sys: SystemMatrices, y, s_max: int, feas_tol: float = 1e-8):
+def solve_l0_oracle(sys: SystemMatrices, y, s_max: int):
     """Brute-force l0 oracle: smallest support explaining the observation.
 
     Enumerates supports by increasing size (lexicographic within a size) and
     accepts the first one whose least-squares residual over (rho, omega_S)
-    is within feas_tol * ||y||.  Guarded to desk scale: s_max <= 4 or d <= 16.
+    is within 1e-8 * ||y|| (_L0_FEAS_TOL).  Guarded to desk scale: s_max <= 4 or d <= 16.
     """
     yv = _observation_vector(sys, y)
     d = sys.B.shape[1]
@@ -251,7 +252,7 @@ def solve_l0_oracle(sys: SystemMatrices, y, s_max: int, feas_tol: float = 1e-8):
             f"enumeration of supports up to size {s_max} in dimension {d} exceeds budget"
         )
     ynorm = np.linalg.norm(yv)
-    tol = feas_tol * max(ynorm, 1e-300)
+    tol = _L0_FEAS_TOL * max(ynorm, 1e-300)
     for s in range(0, s_max + 1):
         for comb in itertools.combinations(range(d), s):
             cols = np.hstack([sys.A, sys.B[:, list(comb)]]) if s else sys.A

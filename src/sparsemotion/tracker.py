@@ -58,7 +58,11 @@ class FrameResult:
     converged: bool
     termination: str | None  # SolveStats.termination; None for a skipped frame
     reinit: bool
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        """The frame could not be solved and left the state as it was."""
+        return self.termination is None
 
     @property
     def support(self) -> Support:
@@ -90,16 +94,16 @@ def differential_observation(prev: LandmarkFrame, curr: LandmarkFrame, cam: Came
 def reprojection_error(
     skel: Skeleton, pose: Pose, frame: LandmarkFrame, cam: CameraModel
 ) -> float:
-    """Worst-landmark pixel distance between projected model landmarks and
-    observations, over the landmarks in view (camera.in_view).  The max (not
-    the mean) is what makes a per-landmark failure detectable against the
-    reinit threshold.
+    """Worst-landmark pixel distance between the model landmarks rendered at
+    pose (render_frame) and the observations, over the landmarks both flag
+    visible.  The max (not the mean) is what makes a per-landmark failure
+    detectable against the reinit threshold.
     """
-    _, _, pts = fk_arrays(skel, pose)
-    idx = np.flatnonzero(in_view(pts, frame.visible, cam))
+    model = render_frame(skel, pose, cam, frame.frame_index)
+    idx = np.flatnonzero(model.visible & frame.visible)
     if idx.size == 0:
         raise ValueError("no visible landmarks")
-    diff = cam.to_pixels(project(pts[idx], cam)) - frame.uv[idx]
+    diff = model.uv[idx] - frame.uv[idx]
     # per-row inner products, the same dot that np.linalg.norm takes of one
     # row, so each distance equals the per-landmark norm to the bit
     return float(np.sqrt(np.max((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])))
@@ -141,7 +145,6 @@ def step_frame(
             converged=False,
             termination=None,
             reinit=True,
-            skipped=True,
         )
         return state, result
 

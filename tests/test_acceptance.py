@@ -230,9 +230,8 @@ def test_criterion_07_accuracy_monotone_in_noise(skel40, cam1145):
     pose_rng = np.random.default_rng(3)
     poses = [sample_pose(skel40, pose_rng) for _ in range(8)]
     grid = [(3, float(dl)) for dl in range(5)]
-    rows, _ = run_sweep(skel40, poses, cam1145, grid, trials=200, seed=42,
-                        solver_names=("rf",))
-    acc = [r["accuracy_mean"] for r in rows]
+    rows, _ = run_sweep(skel40, poses, cam1145, grid, trials=200, seed=42)
+    acc = [r["accuracy_mean"] for r in rows if r["solver"] == "rf"]
     steps = [acc[i + 1] - acc[i] for i in range(4)]
     ok = all(st <= 0.02 for st in steps)
     report(7, ok, "RF accuracy over δ=0..4px: "

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -21,6 +24,8 @@ from sparsemotion.tracker import (
 )
 
 from conftest import plant_highs_status, toy12_config, toy8_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -551,3 +556,26 @@ class TestValidateSkeleton:
         code = run(["validate-skeleton", "--skeleton", str(bad)])
         capsys.readouterr()
         assert code == 1
+
+
+class TestModuleEntryPoint:
+    """`python -m sparsemotion.cli` runs the CLI of this checkout."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        return subprocess.run(
+            [sys.executable, "-m", "sparsemotion.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+
+    def test_validate_bundled_skeleton(self):
+        skel = SRC / "sparsemotion" / "data" / "skeleton40.json"
+        proc = self.run_module("validate-skeleton", "--skeleton", str(skel))
+        assert proc.returncode == 0, proc.stderr
+        assert '"dof": 40' in proc.stdout
+
+    def test_missing_skeleton_exits_1(self, tmp_path):
+        proc = self.run_module("validate-skeleton", "--skeleton",
+                               str(tmp_path / "missing.json"))
+        assert proc.returncode == 1
+        assert "error: cannot read" in proc.stderr

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsemotion import experiments
+from sparsemotion import experiments, solvers
 from sparsemotion.experiments import (
     SamplingError,
     TrialConfig,
@@ -22,7 +22,8 @@ from sparsemotion.experiments import (
 from sparsemotion.camera import assemble_system
 from sparsemotion.kinematics import Pose
 from sparsemotion.liegroup import RigidTransform
-from sparsemotion.solvers import SolveOptions
+
+from conftest import plant_highs_status
 
 
 class TestTrialConfig:
@@ -208,12 +209,6 @@ class TestRunTrial:
         assert set(results) == {"rf", "l2"}
         assert results["l2"]["iterations"] == 0
 
-    def test_unknown_solver(self, skel40, cam1145, skel40_pose):
-        cfg = TrialConfig(support_size=1, noise_std_px=0.0)
-        with pytest.raises(ValueError, match="solver"):
-            run_trial(skel40, skel40_pose, cam1145, cfg,
-                      np.random.default_rng(2), solver_names=("cvx",))
-
 
 class TestRunSweep:
     def test_rows_and_records_structure(self, skel40, cam1145):
@@ -292,10 +287,11 @@ class TestRunSweep:
 
         monkeypatch.setattr(experiments, "gen_sparse_motion",
                             fails_on_second_trial)
+        plant_highs_status(monkeypatch,
+                           solvers.highs.HighsModelStatus.kIterationLimit)
         poses = [sample_pose(skel40, np.random.default_rng(12))]
         rows, records = run_sweep(skel40, poses, cam1145, [(3, 0.0)],
-                                  trials=3, seed=4,
-                                  opts=SolveOptions(max_iter=1))
+                                  trials=3, seed=4)
         counts = {r["solver"]: (r["trials"], r["errors"], r["not_converged"])
                   for r in rows}
         assert counts == {"rf": (2, 1, 2), "l2": (2, 1, 0)}

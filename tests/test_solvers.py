@@ -429,7 +429,7 @@ class TestL0Oracle:
         omega = rng.uniform(0.02, 0.05, 12)
         y = sys.B @ omega
         with pytest.raises(NoFeasibleSupportError):
-            solve_l0_oracle(sys, y, s_max=1, feas_tol=1e-10)
+            solve_l0_oracle(sys, y, s_max=1)
 
 
 class TestCrossSolverConsistency:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsemotion.camera import CameraModel
+from sparsemotion.camera import CameraModel, in_view, project
 from sparsemotion.kinematics import Pose, clamp_angles, fk_arrays
 from sparsemotion.liegroup import RigidTransform
 from sparsemotion.solvers import SolveOptions
@@ -122,6 +122,39 @@ class TestReprojectionError:
         frame = LandmarkFrame(0, np.zeros((13, 2)), np.zeros(13, dtype=bool))
         with pytest.raises(ValueError):
             reprojection_error(skel40, skel40_pose, frame, cam1145)
+
+    @staticmethod
+    def reference_error(skel, pose, frame, cam):
+        """The error worked out step by step: FK, the frame's landmarks in
+        view, their projection and the largest per-landmark distance."""
+        _, _, pts = fk_arrays(skel, pose)
+        idx = np.flatnonzero(in_view(pts, frame.visible, cam))
+        diff = cam.to_pixels(project(pts[idx], cam)) - frame.uv[idx]
+        return float(np.sqrt(np.max(
+            (diff[:, None, :] @ diff[:, :, None])[:, 0, 0])))
+
+    @pytest.mark.parametrize("case", ["one_invisible", "bumped", "min_depth"])
+    def test_matches_reference_to_the_bit(self, skel40, cam1145, skel40_pose,
+                                          case):
+        """The error of a frame rendered at a nearby pose, then edited,
+        equals the step-by-step reference exactly."""
+        rng = np.random.default_rng(4)
+        moved = Pose(skel40_pose.camera_to_root,
+                     skel40_pose.theta + rng.normal(0.0, 0.01, 40))
+        frame = render_frame(skel40, moved, cam1145, 0)
+        uv, vis, cam = frame.uv.copy(), frame.visible.copy(), cam1145
+        if case == "one_invisible":
+            vis[3] = False
+        elif case == "bumped":
+            uv[7] += [40.0, -25.0]
+        else:
+            _, _, pts = fk_arrays(skel40, skel40_pose)
+            z = np.sort(pts[:, 2])
+            cam = CameraModel(focal=cam1145.focal, min_depth=(z[0] + z[1]) / 2)
+        edited = LandmarkFrame(0, uv, vis)
+        err = reprojection_error(skel40, skel40_pose, edited, cam)
+        assert err > 0.0
+        assert err == self.reference_error(skel40, skel40_pose, edited, cam)
 
 
 class TestStepFrame:
