@@ -2,8 +2,9 @@
 validate-skeleton.
 
 Exit codes: 0 ok / 1 input error / 2 resource-or-convergence / 3 property
-fails, so scripts can branch on certification verdicts.  Angles are degrees
-at the CLI boundary, radians internally.
+fails, so scripts can branch on certification verdicts.  Any other exception
+is a fault of the program and ends in a traceback.  Angles are degrees at the
+CLI boundary, radians internally.
 
 pksp-check proves every verdict by exact sign-pattern LPs.  A --support may
 hold at most 12 distinct DoFs, and --budget caps the comb(d, s) * 2^s
@@ -23,12 +24,13 @@ import sys
 
 import numpy as np
 
-from .camera import CameraModel, assemble_system
-from .experiments import run_sweep, sample_pose, write_results_csv, write_trials_jsonl
+from .camera import AssemblyError, CameraModel, DepthError, RankDeficientError, assemble_system
+from .experiments import SamplingError, TrialConfig, run_sweep, sample_pose
+from .experiments import write_results_csv, write_trials_jsonl
 from .kinematics import SkeletonError, load_skeleton
 from .pksp import check_pksp, check_pksp_order
-from .solvers import SUPPORT_EPSILON, BudgetExceededError, SolveOptions, SolverError, Support
-from .solvers import extract_support, solve_l0_oracle, solve_l2, solve_rf
+from .solvers import SUPPORT_EPSILON, BudgetExceededError, NoFeasibleSupportError, SolveOptions
+from .solvers import SolverError, Support, extract_support, solve_l0_oracle, solve_l2, solve_rf
 from .tracker import (
     SequenceError,
     TrackOptions,
@@ -48,6 +50,20 @@ EXIT_PROPERTY = 3
 
 class InputError(Exception):
     pass
+
+
+# what the package raises on bad input; any other exception out of a command
+# is a fault of the program and propagates as a traceback
+_INPUT_ERRORS = (
+    InputError,
+    SkeletonError,
+    SequenceError,
+    SamplingError,
+    AssemblyError,
+    RankDeficientError,
+    DepthError,
+    NoFeasibleSupportError,
+)
 
 
 def _read(path: str) -> str:
@@ -110,17 +126,24 @@ def cmd_solve_frame(args) -> int:
         raise InputError(f"{args.observation}: bad observation: {e}") from e
     if y.shape != (2 * int(np.sum(visible)),):
         raise InputError("observation length does not match visible landmark count")
+    if not np.all(np.isfinite(y)):
+        raise InputError(f"{args.observation}: observation must be finite")
+    if not args.epsilon > 0:
+        raise InputError("--epsilon must be positive")
     sys_m = assemble_system(skel, pose, cam, visible)
     rates = np.zeros((skel.n_landmarks, 2))
     rates[visible] = y.reshape(-1, 2)
     y = rates[sys_m.visible_index].ravel()
-    opts = SolveOptions(
-        max_iter=args.max_iter,
-        primal_tol=args.tol,
-        dual_tol=args.tol,
-        omega_max=math.radians(args.omega_max_deg),
-        box_enabled=args.box == "on",
-    )
+    try:
+        opts = SolveOptions(
+            max_iter=args.max_iter,
+            primal_tol=args.tol,
+            dual_tol=args.tol,
+            omega_max=math.radians(args.omega_max_deg),
+            box_enabled=args.box == "on",
+        )
+    except ValueError as e:
+        raise InputError(f"bad solve options: {e}") from e
     code = EXIT_OK
     if args.solver == "rf":
         motion, stats = solve_rf(sys_m, y, opts)
@@ -162,11 +185,19 @@ def cmd_pksp_check(args) -> int:
     Z = assemble_system(skel, pose, cam).reduction.null_space
     pose_hash = hashlib.sha256(_read(args.pose).encode()).hexdigest()[:16]
     cert = {"schema_version": SCHEMA_VERSION, "pose_hash": pose_hash}
+    d = skel.dof
     if args.support is not None:
-        F = Support(int(t) for t in args.support.split(","))
+        try:
+            F = Support(int(t) for t in args.support.split(","))
+        except ValueError as e:
+            raise InputError(f"bad --support: {e}") from e
+        if F.indices and not (F.indices[0] >= 0 and F.indices[-1] < d):
+            raise InputError(f"--support indices outside 0..{d - 1}")
         verdict = check_pksp(Z, F)
         cert["support"] = list(F.indices)
     else:
+        if not 0 <= args.order <= d:
+            raise InputError(f"order {args.order} outside 0..{d}")
         verdict, worst = check_pksp_order(Z, args.order, args.budget)
         cert["order"] = args.order
         cert["worst_support"] = list(worst.indices)
@@ -196,6 +227,7 @@ def cmd_synth_bench(args) -> int:
         ("grid.support_sizes", isinstance(sizes, list), "a list"),
         ("grid.noise_std_px", isinstance(deltas, list), "a list"),
         ("poses", n_poses >= 1, "at least 1"),
+        ("trials", trials >= 1, "at least 1"),
         ("magnitude_range_deg", isinstance(mag, list) and len(mag) == 2, "a [min, max] pair"),
     ):
         if not ok:
@@ -203,8 +235,14 @@ def cmd_synth_bench(args) -> int:
     try:
         grid = [(int(s), float(dl)) for s in sizes for dl in deltas]
         magnitude_range = (math.radians(float(mag[0])), math.radians(float(mag[1])))
+        for s, dl in grid:  # refuses negative sizes and noise, and bad ranges
+            TrialConfig(s, dl, magnitude_range, rigid_scale)
     except (TypeError, ValueError) as e:
         raise InputError(f"{args.sweep_config}: bad sweep config: {e}") from e
+    if not grid:
+        raise InputError(f"{args.sweep_config}: the grid has no cells")
+    if max(s for s, _ in grid) > skel.dof:
+        raise InputError(f"{args.sweep_config}: a support size exceeds {skel.dof} DoF")
     occlude, n = cfg.get("occlude_landmark"), skel.n_landmarks
     if occlude is not None and not (type(occlude) is int and 0 <= occlude < n):
         raise InputError(
@@ -223,8 +261,8 @@ def cmd_synth_bench(args) -> int:
         magnitude_range=magnitude_range,
         rigid_scale=rigid_scale,
     )
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         write_results_csv(rows, os.path.join(args.out, "results.csv"))
         write_trials_jsonl(records, os.path.join(args.out, "trials.jsonl"))
     except OSError as e:
@@ -244,7 +282,10 @@ def cmd_track(args) -> int:
     if not frames:
         raise InputError("landmark CSV contains no frames")
     opts = TrackOptions(reinit_threshold_px=args.reinit_threshold)
-    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as e:
+        raise InputError(f"cannot write to {args.out}: {e}") from e
     try:
         n_reinit = 0
         errs = []
@@ -343,15 +384,12 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceededError, SolverError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def main():  # pragma: no cover

@@ -14,7 +14,7 @@ import numpy as np
 
 from .camera import AssemblyError, CameraModel, RankDeficientError, SystemMatrices
 from .camera import assemble_system
-from .kinematics import Pose, Skeleton, fk_arrays
+from .kinematics import Pose, Skeleton, fk_arrays, fk_chain
 from .liegroup import RigidTransform
 from .solvers import SUPPORT_EPSILON, DifferentialMotion, SolveOptions, SolverError
 from .solvers import solve_l2, solve_rf
@@ -41,6 +41,8 @@ class TrialConfig:
             raise ValueError("support size must be nonnegative")
         if self.noise_std_px < 0:
             raise ValueError("noise std must be nonnegative")
+        if not self.rigid_scale >= 0:
+            raise ValueError("rigid scale must be nonnegative")
         lo, hi = self.magnitude_range
         if not (0 < lo <= hi <= 5.0 * _DEG + 1e-12):
             raise ValueError("magnitude range must satisfy 0 < min <= max <= 5 deg")
@@ -134,12 +136,11 @@ def support_metrics(omega_hat, omega_true):
     return float(accuracy), float(specificity), float(sensitivity)
 
 
-def mpjpe(skel: Skeleton, pose_hat: Pose, pose_true: Pose) -> float:
-    """Mean per-joint position error after aligning the roots."""
-    ph = fk_arrays(skel, pose_hat)[1]
-    pt = fk_arrays(skel, pose_true)[1]
-    ph = ph - ph[0]
-    pt = pt - pt[0]
+def mpjpe(joints_hat, joints_true) -> float:
+    """Mean per-joint position error after aligning the roots, between two
+    (d, 3) sets of joint positions (fk_chain's t[:, k] for row k)."""
+    ph = joints_hat - joints_hat[0]
+    pt = joints_true - joints_true[0]
     return float(np.mean(np.linalg.norm(ph - pt, axis=1)))
 
 
@@ -156,7 +157,9 @@ def run_trial(
     rf is solved with _TRIAL_SOLVE, then l2.  A record holds solver,
     accuracy, specificity, sensitivity (support metrics), omega_err_inf,
     rho_err_inf, mpjpe, iterations and converged, in that order; l2 reports
-    0 iterations and converged.
+    0 iterations and converged.  The joint positions that mpjpe compares,
+    of the pose moved by the planted motion and by each estimate, come from
+    one fk_chain pass over the three angle rows.
     """
     sys = assemble_system(skel, pose, cam, visible)
     motion = gen_sparse_motion(skel, pose, cfg.support_size, rng, cfg)
@@ -165,14 +168,13 @@ def run_trial(
     )
     rf, stats = solve_rf(sys, y, _TRIAL_SOLVE)
     l2 = solve_l2(sys, y)
+    thetas = pose.theta + np.stack([motion.omega, rf.omega, l2.omega])
+    joints = fk_chain(skel, pose.camera_to_root, thetas)[1]
     out = {}
-    for name, est, iters, conv in (
-        ("rf", rf, stats.iterations, stats.converged),
-        ("l2", l2, 0, True),
+    for k, (name, est, iters, conv) in enumerate(
+        (("rf", rf, stats.iterations, stats.converged), ("l2", l2, 0, True)), start=1
     ):
         acc, spec, sens = support_metrics(est.omega, motion.omega)
-        pose_hat = Pose(pose.camera_to_root, pose.theta + est.omega)
-        pose_true = Pose(pose.camera_to_root, pose.theta + motion.omega)
         out[name] = {
             "solver": name,
             "accuracy": acc,
@@ -180,7 +182,7 @@ def run_trial(
             "sensitivity": sens,
             "omega_err_inf": float(np.max(np.abs(est.omega - motion.omega))),
             "rho_err_inf": float(np.max(np.abs(est.rho - motion.rho))),
-            "mpjpe": mpjpe(skel, pose_hat, pose_true),
+            "mpjpe": mpjpe(joints[:, k], joints[:, 0]),
             "iterations": iters,
             "converged": conv,
         }
@@ -247,10 +249,14 @@ def run_sweep(
                 "errors": errors,
                 "not_converged": sum(not r["converged"] for r in rs),
             }
-            for m in _METRICS:
-                vals = np.array([r[m] for r in rs]) if rs else np.array([np.nan])
-                row[f"{m}_mean"] = float(np.mean(vals))
-                row[f"{m}_std"] = float(np.std(vals))
+            # one row per metric, each reduced with the same pairwise
+            # summation as a 1-D array of it; a cell with no trial reads NaN
+            vals = np.full((len(_METRICS), 1), np.nan)
+            if rs:
+                vals = np.array([[r[m] for r in rs] for m in _METRICS])
+            for m, mean, std in zip(_METRICS, vals.mean(axis=1), vals.std(axis=1)):
+                row[f"{m}_mean"] = float(mean)
+                row[f"{m}_std"] = float(std)
             rows.append(row)
     return rows, records
 

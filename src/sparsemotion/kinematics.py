@@ -214,13 +214,6 @@ def default_skeleton() -> Skeleton:
     return load_skeleton(text)
 
 
-def _check_dims(skel: Skeleton, pose: Pose):
-    if pose.theta.shape != (skel.dof,):
-        raise ValueError(
-            f"pose has {pose.theta.shape[0]} angles, skeleton has {skel.dof} DoF"
-        )
-
-
 def _axis_rotations(axes, theta):
     """Rodrigues rotations (d,3,3) about unit axes (d,3) by angles (d,)."""
     c = np.cos(theta)
@@ -240,26 +233,45 @@ def _axis_rotations(axes, theta):
     return R
 
 
+def fk_chain(skel: Skeleton, camera_to_root: RigidTransform, thetas):
+    """Forward kinematics along the tree, parents first, of m angle rows
+    (m, d) that share one camera-to-root transform.
+
+    Returns per-joint rotations (d, m, 3, 3) and translations (d, m, 3) in
+    the camera frame; R[:, k] and t[:, k] are row k's.  Joint j's frame is
+    parents[j]'s frame * translate(offsets[j]) * rot(axes[j], theta[j]);
+    parent -1 is camera_to_root.  numpy multiplies a stack of matrices slice
+    by slice, so each row equals a pass over that row alone, to the bit.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != skel.dof:
+        raise ValueError(
+            f"pose has {thetas.shape[-1]} angles, skeleton has {skel.dof} DoF"
+        )
+    m, d = thetas.shape
+    # joint-major, so that joint j's m rotations are one contiguous slice
+    local = _axis_rotations(np.repeat(skel.axes, m, axis=0), thetas.T.ravel())
+    Rc, tc = camera_to_root.rotation, camera_to_root.translation
+    R = np.empty((d, m, 3, 3))
+    t = np.empty((d, m, 3))
+    for p, offset, R_local, R_j, t_j in zip(
+        skel.parents.tolist(), skel.offsets, local.reshape(d, m, 3, 3), R, t
+    ):
+        Rp, tp = (Rc, tc) if p < 0 else (R[p], t[p])
+        np.add(tp, Rp @ offset, out=t_j)
+        np.matmul(Rp, R_local, out=R_j)
+    return R, t
+
+
 def fk_arrays(skel: Skeleton, pose: Pose):
-    """Forward kinematics along the tree, parents first.
+    """Forward kinematics of one pose: fk_chain's single row, plus the
+    landmarks.
 
     Returns (R, t, points): per-joint rotations (d,3,3) and translations
-    (d,3), and landmark positions (N,3), all in the camera frame.  Joint j's
-    frame is parents[j]'s frame * translate(offsets[j]) * rot(axes[j],
-    theta[j]); parent -1 is the camera-to-root transform.
+    (d,3), and landmark positions (N,3), all in the camera frame.
     """
-    _check_dims(skel, pose)
-    local = _axis_rotations(skel.axes, pose.theta)
-    parents, offsets = skel.parents, skel.offsets
-    Rc, tc = pose.camera_to_root.rotation, pose.camera_to_root.translation
-    d = parents.shape[0]
-    R = np.empty((d, 3, 3))
-    t = np.empty((d, 3))
-    for j in range(d):
-        p = parents[j]
-        Rp, tp = (Rc, tc) if p < 0 else (R[p], t[p])
-        t[j] = tp + Rp @ offsets[j]
-        R[j] = Rp @ local[j]
+    R, t = fk_chain(skel, pose.camera_to_root, pose.theta[None])
+    R, t = R[:, 0], t[:, 0]
     lj = skel.lmk_joint
     pts = t[lj] + (R[lj] @ skel.lmk_local[:, :, None])[:, :, 0]
     return R, t, pts

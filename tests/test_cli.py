@@ -97,6 +97,15 @@ def synth_bench(sweep=None, skeleton=None):
     return argv
 
 
+def nan_observation(paths, tmp_path) -> str:
+    """Path of the observation with its first entry NaN, which JSON allows."""
+    obs = json.loads(Path(paths["obs"]).read_text())
+    obs["y_normalized"][0] = float("nan")
+    path = tmp_path / "nan_obs.json"
+    path.write_text(json.dumps(obs))
+    return str(path)
+
+
 def unsamplable_toy8() -> str:
     """toy8 with landmark 0 at the camera's depth 0 in every pose."""
     cfg = json.loads(toy8_config())
@@ -191,6 +200,22 @@ def unsamplable_toy8() -> str:
                                        "noise_std_px": [0.0]}}),
                  None, 1, "grid.support_sizes must be a list",
                  id="synth-bench-sizes-not-list"),
+    pytest.param(synth_bench({"grid": {"support_sizes": [41],
+                                       "noise_std_px": [0.0]}}),
+                 None, 1, "a support size exceeds 40 DoF",
+                 id="synth-bench-size-above-dof"),
+    pytest.param(synth_bench({"trials": 0}),
+                 None, 1, "trials must be at least 1", id="synth-bench-zero-trials"),
+    pytest.param(synth_bench({"rigid_scale": -1.0}),
+                 None, 1, "rigid scale must be nonnegative",
+                 id="synth-bench-negative-rigid-scale"),
+    pytest.param(lambda p, t: ["solve-frame", *base_args(p), "--observation",
+                               nan_observation(p, t)],
+                 None, 1, "observation must be finite", id="observation-nan"),
+    pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
+                               "12,40"],
+                 None, 1, "--support indices outside 0..39",
+                 id="pksp-support-out-of-range"),
     pytest.param(lambda p, t: [*solve_args(p), "--solver", "l0",
                                "--l0-max-support", "5"],
                  None, 2, "exceeds budget", id="l0-budget"),
@@ -225,6 +250,24 @@ def test_failing_exit(argv, lp_fault, code, message, paths, tmp_path, capsys,
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda p: [*solve_args(p), "--solver", "rf"], id="rf-solve"),
+    pytest.param(lambda p: ["pksp-check", *base_args(p), "--support", "12,27"],
+                 id="pksp-lp"),
+])
+def test_program_fault_is_not_an_input_error(argv, paths, monkeypatch):
+    """Only the package's input errors exit 1: a bare ValueError raised
+    inside a solve, here by every LP's run, is a fault of the program and
+    propagates."""
+    class Planted(solvers.highs._Highs):
+        def run(self):
+            raise ValueError("planted fault inside a solve")
+
+    monkeypatch.setattr(solvers.highs, "_Highs", Planted)
+    with pytest.raises(ValueError, match="planted fault inside a solve"):
+        run(argv(paths))
 
 
 class TestSolveFrame:

@@ -20,7 +20,7 @@ from sparsemotion.experiments import (
     write_trials_jsonl,
 )
 from sparsemotion.camera import assemble_system
-from sparsemotion.kinematics import Pose
+from sparsemotion.kinematics import Pose, fk_arrays
 from sparsemotion.liegroup import RigidTransform
 
 from conftest import plant_highs_status
@@ -47,7 +47,6 @@ class TestSamplePose:
             pose = sample_pose(skel40, rng)
             assert np.all(pose.theta >= skel40.bounds_min - 1e-12)
             assert np.all(pose.theta <= skel40.bounds_max + 1e-12)
-            from sparsemotion.kinematics import fk_arrays
             _, _, pts = fk_arrays(skel40, pose)
             assert np.all(pts[:, 2] > 0.5)
 
@@ -169,16 +168,21 @@ class TestSupportMetrics:
             support_metrics(np.zeros(3), np.zeros(4))
 
 
+def joints(skel, pose):
+    return fk_arrays(skel, pose)[1]
+
+
 class TestPoseErrors:
     def test_zero_for_identical_poses(self, skel40, skel40_pose):
-        assert mpjpe(skel40, skel40_pose, skel40_pose) == 0.0
+        t = joints(skel40, skel40_pose)
+        assert mpjpe(t, t) == 0.0
 
     def test_mpjpe_ignores_root_translation(self, skel40, skel40_pose):
         moved = Pose(
             RigidTransform(skel40_pose.camera_to_root.rotation,
                            skel40_pose.camera_to_root.translation + 1.0),
             skel40_pose.theta)
-        assert mpjpe(skel40, moved, skel40_pose) < 1e-12
+        assert mpjpe(joints(skel40, moved), joints(skel40, skel40_pose)) < 1e-12
 
     def test_positive_for_perturbed_pose(self, skel40, skel40_pose):
         theta = skel40_pose.theta.copy()
@@ -186,7 +190,7 @@ class TestPoseErrors:
         knee = skel40.joint_names.index("right_knee")
         theta[knee] += 0.3
         other = Pose(skel40_pose.camera_to_root, theta)
-        assert mpjpe(skel40, other, skel40_pose) > 0
+        assert mpjpe(joints(skel40, other), joints(skel40, skel40_pose)) > 0
 
 
 class TestRunTrial:
@@ -319,6 +323,88 @@ class TestRunSweep:
         poses = [sample_pose(skel40, np.random.default_rng(12))]
         with pytest.raises(NotImplementedError, match="planted"):
             run_sweep(skel40, poses, cam1145, [(1, 0.0)], trials=1, seed=4)
+
+
+def reference_sweep(skel, poses, cam, grid, trials, seed):
+    """run_sweep with scoring and aggregation as they were written before
+    the stacked FK pass: MPJPE by fk_arrays of each pose alone, and one
+    np.mean and np.std per metric."""
+    def pose_mpjpe(pose_hat, pose_true):
+        ph = fk_arrays(skel, pose_hat)[1]
+        pt = fk_arrays(skel, pose_true)[1]
+        return float(np.mean(np.linalg.norm((ph - ph[0]) - (pt - pt[0]), axis=1)))
+
+    def trial(pose, cfg, rng):
+        sys_m = assemble_system(skel, pose, cam)
+        motion = experiments.gen_sparse_motion(skel, pose, cfg.support_size, rng, cfg)
+        y = synthesize_observation(skel, pose, motion, cam, cfg.noise_std_px, rng, sys=sys_m)
+        rf, stats = solvers.solve_rf(sys_m, y, experiments._TRIAL_SOLVE)
+        l2 = solvers.solve_l2(sys_m, y)
+        out = {}
+        for name, est, iters, conv in (("rf", rf, stats.iterations, stats.converged),
+                                       ("l2", l2, 0, True)):
+            acc, spec, sens = support_metrics(est.omega, motion.omega)
+            out[name] = {
+                "solver": name, "accuracy": acc, "specificity": spec,
+                "sensitivity": sens,
+                "omega_err_inf": float(np.max(np.abs(est.omega - motion.omega))),
+                "rho_err_inf": float(np.max(np.abs(est.rho - motion.rho))),
+                "mpjpe": pose_mpjpe(Pose(pose.camera_to_root, pose.theta + est.omega),
+                                    Pose(pose.camera_to_root, pose.theta + motion.omega)),
+                "iterations": iters, "converged": conv,
+            }
+        return out
+
+    rows, records = [], []
+    for cell, (s, delta) in enumerate(grid):
+        cfg = TrialConfig(s, delta)
+        per_solver = {"rf": [], "l2": []}
+        errors = 0
+        for t in range(trials):
+            key = {"cell": cell, "s": s, "delta": delta, "trial": t}
+            try:
+                res = trial(poses[t % len(poses)], cfg, np.random.default_rng((seed, cell, t)))
+            except SamplingError as e:
+                errors += 1
+                records.append({**key, "error": str(e)})
+                continue
+            for name, r in res.items():
+                per_solver[name].append(r)
+                records.append({**key, **r})
+        for name, rs in per_solver.items():
+            row = {"s": s, "delta": delta, "solver": name, "trials": len(rs),
+                   "errors": errors,
+                   "not_converged": sum(not r["converged"] for r in rs)}
+            for m in ("accuracy", "specificity", "sensitivity", "omega_err_inf",
+                      "rho_err_inf", "mpjpe"):
+                vals = np.array([r[m] for r in rs]) if rs else np.array([np.nan])
+                row[f"{m}_mean"] = float(np.mean(vals))
+                row[f"{m}_std"] = float(np.std(vals))
+            rows.append(row)
+    return rows, records
+
+
+def test_sweep_matches_per_pose_scoring_reference(skel40, cam1145, monkeypatch):
+    """Rows and records equal, byte for byte in their JSON, those of
+    per-pose MPJPE and per-metric reductions: on a 9-trial cell (past the
+    8-element block of numpy's pairwise sum), a noisy cell, an s = 0 cell,
+    and a cell where every trial fails and the rows read NaN."""
+    real = experiments.gen_sparse_motion
+
+    def fails_at_size_5(skel, pose, s, rng, cfg):
+        if s == 5:
+            raise SamplingError("planted failure")
+        return real(skel, pose, s, rng, cfg)
+
+    monkeypatch.setattr(experiments, "gen_sparse_motion", fails_at_size_5)
+    rng = np.random.default_rng(13)
+    poses = [sample_pose(skel40, rng) for _ in range(3)]
+    grid = [(2, 0.0), (3, 1.5), (0, 0.0), (5, 0.0)]
+    got = run_sweep(skel40, poses, cam1145, grid, trials=9, seed=21)
+    want = reference_sweep(skel40, poses, cam1145, grid, trials=9, seed=21)
+    assert [r["trials"] for r in got[0]] == [9] * 6 + [0] * 2
+    assert math.isnan(got[0][-1]["mpjpe_mean"])
+    assert json.dumps(got) == json.dumps(want)
 
 
 class TestSerialization:

@@ -6,14 +6,21 @@ import itertools
 
 import numpy as np
 
-from sparsemotion import camera, kinematics
+from sparsemotion import camera, experiments, kinematics
 from sparsemotion.camera import (
     assemble_system,
     projection_jacobian,
     stacked_projection_blocks,
     stacked_projection_kernel,
 )
-from sparsemotion.kinematics import Pose, articulated_jacobian, fk_arrays, rigid_jacobian
+from sparsemotion.experiments import TrialConfig, run_trial
+from sparsemotion.kinematics import (
+    Pose,
+    articulated_jacobian,
+    fk_arrays,
+    fk_chain,
+    rigid_jacobian,
+)
 from sparsemotion.liegroup import exp_twist_vector, skew
 
 from conftest import in_bounds_pose
@@ -117,6 +124,8 @@ def test_rotation_kernel_matches_reference():
 
 
 def test_fk_and_jacobian_kernels_match_reference(skel40, toy8, toy12):
+    """fk_arrays, and each row of a stacked fk_chain pass, equal the scalar
+    chain to the bit."""
     rng = np.random.default_rng(1)
     for skel, _ in itertools.product((skel40, toy8, toy12), range(20)):
         pose = in_bounds_pose(skel, rng)
@@ -134,6 +143,16 @@ def test_fk_and_jacobian_kernels_match_reference(skel40, toy8, toy12):
         np.testing.assert_array_equal(
             articulated_jacobian(skel, pose),
             ref_articulated_jacobian(R2, t2, skel.axes, skel.ancestry, pts2))
+        thetas = np.stack([pose.theta, *(in_bounds_pose(skel, rng).theta for _ in range(3))])
+        Rs, ts = fk_chain(skel, Tc, thetas)
+        assert Rs.shape == (skel.dof, 4, 3, 3) and ts.shape == (skel.dof, 4, 3)
+        np.testing.assert_array_equal(Rs[:, 0], R)
+        np.testing.assert_array_equal(ts[:, 0], t)
+        for k, theta in enumerate(thetas):
+            Rk, tk = ref_fk_chain(skel.parents, skel.offsets, skel.axes,
+                                  Tc.rotation, Tc.translation, theta)
+            np.testing.assert_array_equal(Rs[:, k], Rk)
+            np.testing.assert_array_equal(ts[:, k], tk)
 
 
 def test_block_builders_and_assembly_match_reference(skel40, toy8, toy12,
@@ -173,3 +192,27 @@ def test_assemble_system_runs_forward_kinematics_once(skel40, skel40_pose,
     monkeypatch.setattr(kinematics, "fk_arrays", counting_fk)
     assemble_system(skel40, skel40_pose, cam1145)
     assert len(calls) == 1
+
+
+def test_run_trial_runs_one_assembly_fk_and_one_stacked_pass(
+        skel40, skel40_pose, cam1145, monkeypatch):
+    """Scoring adds one fk_chain pass over the truth and both estimates to
+    assembly's fk_arrays, counted at every binding."""
+    fk_calls, chain_rows = [], []
+
+    def counting_fk(*args):
+        fk_calls.append(1)
+        return fk_arrays(*args)
+
+    def counting_chain(skel, camera_to_root, thetas):
+        chain_rows.append(len(thetas))
+        return fk_chain(skel, camera_to_root, thetas)
+
+    monkeypatch.setattr(camera, "fk_arrays", counting_fk)
+    for module in (kinematics, experiments):
+        monkeypatch.setattr(module, "fk_arrays", counting_fk)
+        monkeypatch.setattr(module, "fk_chain", counting_chain)
+    run_trial(skel40, skel40_pose, cam1145, TrialConfig(2, 0.0),
+              np.random.default_rng(3))
+    assert len(fk_calls) == 1
+    assert chain_rows == [1, 3]
