@@ -3,6 +3,7 @@ with exact-recovery certification for a given skeleton/camera configuration.
 """
 
 from .camera import CameraModel, SystemMatrices, assemble_system
+from .errors import InputError
 from .kinematics import Pose, Skeleton, clamp_angles, default_skeleton, load_skeleton
 from .liegroup import RigidTransform, Twist
 from .pksp import ambiguity_nullspace, check_pksp, check_pksp_order
@@ -21,6 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CameraModel",
     "DifferentialMotion",
+    "InputError",
     "Pose",
     "RigidTransform",
     "Skeleton",

@@ -12,20 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
 from .kinematics import Pose, Skeleton, fk_arrays, jacobian_from_fk, rigid_jacobian
 
 RANK_TOL = 1e-10  # singular values at or below this share of the largest count as zero
 
 
-class DepthError(ValueError):
-    """Point too close to (or behind) the camera plane."""
-
-
-class AssemblyError(ValueError):
+class AssemblyError(InputError):
     """System assembly preconditions violated."""
 
 
-class RankDeficientError(ValueError):
+class DepthError(AssemblyError):
+    """Point too close to (or behind) the camera plane."""
+
+
+class RankDeficientError(AssemblyError):
     """Rigid Jacobian block A does not have full column rank."""
 
 
@@ -37,10 +38,12 @@ class CameraModel:
 
     def __post_init__(self):
         object.__setattr__(self, "principal", np.asarray(self.principal, dtype=float))
-        if self.focal <= 0:
-            raise ValueError("focal must be positive")
-        if self.min_depth <= 0:
-            raise ValueError("min_depth must be positive")
+        if not self.focal > 0:
+            raise InputError("focal must be positive")
+        if not self.min_depth > 0:
+            raise InputError("min_depth must be positive")
+        if self.principal.shape != (2,) or not np.all(np.isfinite(self.principal)):
+            raise InputError("principal must be 2 finite numbers")
 
     def to_pixels(self, uv_norm) -> np.ndarray:
         return self.focal * np.asarray(uv_norm, dtype=float) + self.principal

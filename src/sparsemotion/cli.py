@@ -2,8 +2,10 @@
 validate-skeleton.
 
 Exit codes: 0 ok / 1 input error / 2 resource-or-convergence / 3 property
-fails, so scripts can branch on certification verdicts.  Any other exception
-is a fault of the program and ends in a traceback.  Angles are degrees at the
+fails, so scripts can branch on certification verdicts.  Exit 1 is an
+errors.InputError, raised where the package checks what it is given, and
+exit 2 a solvers.BudgetExceededError or SolverError; any other exception is
+a fault of the program and ends in a traceback.  Angles are degrees at the
 CLI boundary, radians internally.
 
 pksp-check proves every verdict by exact sign-pattern LPs.  A --support may
@@ -24,21 +26,15 @@ import sys
 
 import numpy as np
 
-from .camera import AssemblyError, CameraModel, DepthError, RankDeficientError, assemble_system
-from .experiments import SamplingError, TrialConfig, run_sweep, sample_pose
-from .experiments import write_results_csv, write_trials_jsonl
+from .camera import CameraModel, assemble_system
+from .errors import InputError
+from .experiments import run_sweep, sample_pose, write_results_csv, write_trials_jsonl
 from .kinematics import SkeletonError, load_skeleton
 from .pksp import check_pksp, check_pksp_order
-from .solvers import SUPPORT_EPSILON, BudgetExceededError, NoFeasibleSupportError, SolveOptions
-from .solvers import SolverError, Support, extract_support, solve_l0_oracle, solve_l2, solve_rf
-from .tracker import (
-    SequenceError,
-    TrackOptions,
-    frame_result_to_jsonl,
-    iter_track,
-    load_landmark_csv,
-    pose_from_json,
-)
+from .solvers import SUPPORT_EPSILON, BudgetExceededError, SolveOptions, SolverError, Support
+from .solvers import extract_support, solve_l0_oracle, solve_l2, solve_rf
+from .tracker import TrackOptions, frame_result_to_jsonl, iter_track, load_landmark_csv
+from .tracker import SequenceError, pose_from_json
 
 SCHEMA_VERSION = 1
 
@@ -46,24 +42,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RESOURCE = 2
 EXIT_PROPERTY = 3
-
-
-class InputError(Exception):
-    pass
-
-
-# what the package raises on bad input; any other exception out of a command
-# is a fault of the program and propagates as a traceback
-_INPUT_ERRORS = (
-    InputError,
-    SkeletonError,
-    SequenceError,
-    SamplingError,
-    AssemblyError,
-    RankDeficientError,
-    DepthError,
-    NoFeasibleSupportError,
-)
 
 
 def _read(path: str) -> str:
@@ -90,13 +68,10 @@ def _load_skeleton(path: str):
 
 def _load_camera(path: str) -> CameraModel:
     obj = _load_json(path)
+    keys = (("principal_px", "principal"), ("min_depth", "min_depth"))
     try:
-        return CameraModel(
-            focal=obj["focal_px"],
-            principal=obj.get("principal_px", (0.0, 0.0)),
-            min_depth=obj.get("min_depth", 1e-3),
-        )
-    except (KeyError, ValueError) as e:
+        return CameraModel(obj["focal_px"], **{arg: obj[k] for k, arg in keys if k in obj})
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{path}: bad camera config: {e}") from e
 
 
@@ -104,7 +79,7 @@ def _load_pose(path: str, dof: int):
     obj = _load_json(path)
     try:
         return pose_from_json(obj, dof)
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{path}: bad pose: {e}") from e
 
 
@@ -126,24 +101,17 @@ def cmd_solve_frame(args) -> int:
         raise InputError(f"{args.observation}: bad observation: {e}") from e
     if y.shape != (2 * int(np.sum(visible)),):
         raise InputError("observation length does not match visible landmark count")
-    if not np.all(np.isfinite(y)):
-        raise InputError(f"{args.observation}: observation must be finite")
-    if not args.epsilon > 0:
-        raise InputError("--epsilon must be positive")
     sys_m = assemble_system(skel, pose, cam, visible)
     rates = np.zeros((skel.n_landmarks, 2))
     rates[visible] = y.reshape(-1, 2)
     y = rates[sys_m.visible_index].ravel()
-    try:
-        opts = SolveOptions(
-            max_iter=args.max_iter,
-            primal_tol=args.tol,
-            dual_tol=args.tol,
-            omega_max=math.radians(args.omega_max_deg),
-            box_enabled=args.box == "on",
-        )
-    except ValueError as e:
-        raise InputError(f"bad solve options: {e}") from e
+    opts = SolveOptions(
+        max_iter=args.max_iter,
+        primal_tol=args.tol,
+        dual_tol=args.tol,
+        omega_max=math.radians(args.omega_max_deg),
+        box_enabled=args.box == "on",
+    )
     code = EXIT_OK
     if args.solver == "rf":
         motion, stats = solve_rf(sys_m, y, opts)
@@ -185,19 +153,14 @@ def cmd_pksp_check(args) -> int:
     Z = assemble_system(skel, pose, cam).reduction.null_space
     pose_hash = hashlib.sha256(_read(args.pose).encode()).hexdigest()[:16]
     cert = {"schema_version": SCHEMA_VERSION, "pose_hash": pose_hash}
-    d = skel.dof
     if args.support is not None:
         try:
             F = Support(int(t) for t in args.support.split(","))
         except ValueError as e:
             raise InputError(f"bad --support: {e}") from e
-        if F.indices and not (F.indices[0] >= 0 and F.indices[-1] < d):
-            raise InputError(f"--support indices outside 0..{d - 1}")
         verdict = check_pksp(Z, F)
         cert["support"] = list(F.indices)
     else:
-        if not 0 <= args.order <= d:
-            raise InputError(f"order {args.order} outside 0..{d}")
         verdict, worst = check_pksp_order(Z, args.order, args.budget)
         cert["order"] = args.order
         cert["worst_support"] = list(worst.indices)
@@ -227,7 +190,6 @@ def cmd_synth_bench(args) -> int:
         ("grid.support_sizes", isinstance(sizes, list), "a list"),
         ("grid.noise_std_px", isinstance(deltas, list), "a list"),
         ("poses", n_poses >= 1, "at least 1"),
-        ("trials", trials >= 1, "at least 1"),
         ("magnitude_range_deg", isinstance(mag, list) and len(mag) == 2, "a [min, max] pair"),
     ):
         if not ok:
@@ -235,19 +197,8 @@ def cmd_synth_bench(args) -> int:
     try:
         grid = [(int(s), float(dl)) for s in sizes for dl in deltas]
         magnitude_range = (math.radians(float(mag[0])), math.radians(float(mag[1])))
-        for s, dl in grid:  # refuses negative sizes and noise, and bad ranges
-            TrialConfig(s, dl, magnitude_range, rigid_scale)
     except (TypeError, ValueError) as e:
         raise InputError(f"{args.sweep_config}: bad sweep config: {e}") from e
-    if not grid:
-        raise InputError(f"{args.sweep_config}: the grid has no cells")
-    if max(s for s, _ in grid) > skel.dof:
-        raise InputError(f"{args.sweep_config}: a support size exceeds {skel.dof} DoF")
-    occlude, n = cfg.get("occlude_landmark"), skel.n_landmarks
-    if occlude is not None and not (type(occlude) is int and 0 <= occlude < n):
-        raise InputError(
-            f"{args.sweep_config}: occlude_landmark {occlude!r} is not an int in [0, {n})"
-        )
     rng = np.random.default_rng(seed)
     poses = [sample_pose(skel, rng) for _ in range(n_poses)]
     rows, records = run_sweep(
@@ -257,7 +208,7 @@ def cmd_synth_bench(args) -> int:
         grid,
         trials,
         seed,
-        occlude_landmark=occlude,
+        occlude_landmark=cfg.get("occlude_landmark"),
         magnitude_range=magnitude_range,
         rigid_scale=rigid_scale,
     )
@@ -279,8 +230,6 @@ def cmd_track(args) -> int:
         frames = load_landmark_csv(_read(args.landmarks), skel.n_landmarks)
     except SequenceError as e:
         raise InputError(f"{args.landmarks}: {e}") from e
-    if not frames:
-        raise InputError("landmark CSV contains no frames")
     opts = TrackOptions(reinit_threshold_px=args.reinit_threshold)
     try:
         out = open(args.out, "w") if args.out else sys.stdout
@@ -384,7 +333,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceededError, SolverError) as e:

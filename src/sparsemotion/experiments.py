@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import AssemblyError, CameraModel, RankDeficientError, SystemMatrices
-from .camera import assemble_system
+from .camera import AssemblyError, CameraModel, SystemMatrices, assemble_system
+from .errors import InputError
 from .kinematics import Pose, Skeleton, fk_arrays, fk_chain
 from .liegroup import RigidTransform
 from .solvers import SUPPORT_EPSILON, DifferentialMotion, SolveOptions, SolverError
@@ -25,7 +25,7 @@ _DEG = math.pi / 180.0
 _TRIAL_SOLVE = SolveOptions(max_iter=20000, primal_tol=1e-10, dual_tol=1e-10, box_enabled=True)
 
 
-class SamplingError(ValueError):
+class SamplingError(InputError):
     """No pose or motion of the requested kind could be drawn."""
 
 
@@ -38,14 +38,14 @@ class TrialConfig:
 
     def __post_init__(self):
         if self.support_size < 0:
-            raise ValueError("support size must be nonnegative")
-        if self.noise_std_px < 0:
-            raise ValueError("noise std must be nonnegative")
+            raise InputError("support size must be nonnegative")
+        if not self.noise_std_px >= 0:
+            raise InputError("noise std must be nonnegative")
         if not self.rigid_scale >= 0:
-            raise ValueError("rigid scale must be nonnegative")
+            raise InputError("rigid scale must be nonnegative")
         lo, hi = self.magnitude_range
         if not (0 < lo <= hi <= 5.0 * _DEG + 1e-12):
-            raise ValueError("magnitude range must satisfy 0 < min <= max <= 5 deg")
+            raise InputError("magnitude range must satisfy 0 < min <= max <= 5 deg")
 
 
 def sample_pose(skel: Skeleton, rng) -> Pose:
@@ -72,7 +72,7 @@ def gen_sparse_motion(
     """
     d = skel.dof
     if s > d:
-        raise ValueError(f"support size {s} exceeds {d} DoF")
+        raise InputError(f"support size {s} exceeds {d} DoF")
     mag_lo, mag_hi = cfg.magnitude_range
     omega = np.zeros(d)
     candidates = rng.permutation(d)
@@ -212,20 +212,29 @@ def run_sweep(
     record.  Each row also counts the cell's trials that raised (``errors``,
     left out of ``trials``) and the solver's non-converged solves
     (``not_converged``).
-    A trial that cannot be sampled, assembled or solved (SamplingError,
-    AssemblyError, RankDeficientError, SolverError) is recorded as {cell, s,
-    delta, trial, error}; any other exception propagates.
+    Before the first trial an InputError refuses trials < 1, an empty grid,
+    a cell TrialConfig refuses or above the DoF, and an occlude_landmark
+    that is not an int in [0, N).  A trial that cannot be sampled, assembled
+    or solved (SamplingError, AssemblyError, SolverError) is recorded as
+    {cell, s, delta, trial, error}; any other exception propagates.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
+    if not grid:
+        raise InputError("the grid has no cells")
+    cfgs = [TrialConfig(s, delta, magnitude_range, rigid_scale) for s, delta in grid]
+    if max(s for s, _ in grid) > skel.dof:
+        raise InputError(f"a support size exceeds {skel.dof} DoF")
     visible = None
     if occlude_landmark is not None:
-        visible = np.ones(skel.n_landmarks, dtype=bool)
+        n = skel.n_landmarks
+        if not (type(occlude_landmark) is int and 0 <= occlude_landmark < n):
+            raise InputError(f"occlude_landmark {occlude_landmark!r} is not an int in [0, {n})")
+        visible = np.ones(n, dtype=bool)
         visible[occlude_landmark] = False
     rows = []
     records = []
-    for cell_idx, (s, delta) in enumerate(grid):
-        cfg = TrialConfig(s, delta, magnitude_range, rigid_scale)
+    for cell_idx, ((s, delta), cfg) in enumerate(zip(grid, cfgs)):
         per_solver: dict[str, list[dict]] = {"rf": [], "l2": []}
         errors = 0
         for t in range(trials):
@@ -233,7 +242,7 @@ def run_sweep(
             key = {"cell": cell_idx, "s": s, "delta": delta, "trial": t}
             try:
                 res = run_trial(skel, poses[t % len(poses)], cam, cfg, rng, visible)
-            except (AssemblyError, RankDeficientError, SamplingError, SolverError) as e:
+            except (AssemblyError, SamplingError, SolverError) as e:
                 errors += 1
                 records.append({**key, "error": str(e)})
                 continue

@@ -19,12 +19,13 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import InputError
 from .liegroup import RigidTransform
 
 _AXIS_TOL = 1e-8
 
 
-class SkeletonError(ValueError):
+class SkeletonError(InputError):
     """Invalid skeleton configuration."""
 
 

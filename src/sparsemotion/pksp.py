@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import SystemMatrices, reduce_system
+from .errors import InputError
 from .solvers import BudgetExceededError, SolverError, Support
 # bound under this name because the benchmark's traced run wraps pksp.linprog
 from .solvers import _highs_lp as linprog
@@ -26,7 +27,7 @@ from .solvers import _highs_lp as linprog
 _AMBIGUITY_TOL = 1e-9  # build_ambiguous_observation's membership and inequality slack
 
 
-class InvalidCounterexampleError(ValueError):
+class InvalidCounterexampleError(InputError):
     """Vector is not a valid ambiguity counterexample for the support."""
 
 
@@ -80,7 +81,7 @@ def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
     d, k = Z.shape
     on_idx = _support_indices(F)
     if on_idx.size and (on_idx.min() < 0 or on_idx.max() >= d):
-        raise ValueError("support indices out of range")
+        raise InputError(f"support indices out of range 0..{d - 1}")
     if k == 0:
         return PkspVerdict(True, 1.0, None)
     f = on_idx.size
@@ -132,7 +133,7 @@ def check_pksp_order(Z: np.ndarray, s: int, budget: int = 2_000_000):
     """
     d, k = Z.shape
     if not 0 <= s <= d:
-        raise ValueError(f"order {s} outside 0..{d}")
+        raise InputError(f"order {s} outside 0..{d}")
     if s == 0 or k == 0:
         return PkspVerdict(True, 1.0, None), Support(())
     if math.comb(d, s) * 2**s > budget:

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.optimize._highspy import _core as highs
 
 from .camera import AssemblyError, SystemMatrices
+from .errors import InputError
 
 _DEG5 = math.radians(5.0)
 
@@ -45,7 +46,7 @@ class BudgetExceededError(ValueError):
     """Support or sign-pattern enumeration too large for its budget."""
 
 
-class NoFeasibleSupportError(ValueError):
+class NoFeasibleSupportError(InputError):
     """No support of admissible size explains the observation."""
 
 
@@ -72,10 +73,12 @@ class SolveOptions:
     box_enabled: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.primal_tol <= 0 or self.dual_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not self.max_iter >= 1:
+            raise InputError("max_iter must be >= 1")
+        if not (self.primal_tol > 0 and self.dual_tol > 0):
+            raise InputError("tolerances must be positive")
+        if not self.omega_max > 0:
+            raise InputError("omega_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,8 @@ SUPPORT_EPSILON = 1e-4  # rad, default threshold of a nonzero rate
 
 def extract_support(omega, epsilon: float) -> Support:
     """Indices with |omega_i| > epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise InputError("epsilon must be positive")
     omega = np.asarray(omega, dtype=float)
     return Support(tuple(np.flatnonzero(np.abs(omega) > epsilon)))
 
@@ -120,7 +123,7 @@ def _observation_vector(sys: SystemMatrices, y) -> np.ndarray:
             f"{sys.A.shape[0]} rows"
         )
     if not np.all(np.isfinite(yv)):  # HiGHS calls a NaN model optimal; l2 returns NaN
-        raise ValueError("observation must be finite")
+        raise AssemblyError("observation must be finite")
     return yv
 
 

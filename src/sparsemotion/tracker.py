@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import AssemblyError, CameraModel, RankDeficientError
-from .camera import assemble_system, in_view, project
+from .camera import AssemblyError, CameraModel, assemble_system, in_view, project
+from .errors import InputError
 from .kinematics import Pose, Skeleton, clamp_angles, fk_arrays
 from .liegroup import RigidTransform, exp_twist_vector
 from .solvers import SUPPORT_EPSILON, SolveOptions, Support, extract_support, solve_rf
@@ -20,7 +20,7 @@ from .solvers import SUPPORT_EPSILON, SolveOptions, Support, extract_support, so
 _RENORM_EVERY = 100  # composition steps between rotation renormalizations
 
 
-class SequenceError(ValueError):
+class SequenceError(InputError):
     """Malformed landmark sequence input."""
 
 
@@ -39,6 +39,10 @@ class LandmarkFrame:
 class TrackOptions:
     solve: SolveOptions = SolveOptions(max_iter=5000, box_enabled=True)
     reinit_threshold_px: float = 50.0
+
+    def __post_init__(self):
+        if not self.reinit_threshold_px > 0:  # NaN would never flag a frame
+            raise InputError("reinit threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,12 +101,13 @@ def reprojection_error(
     """Worst-landmark pixel distance between the model landmarks rendered at
     pose (render_frame) and the observations, over the landmarks both flag
     visible.  The max (not the mean) is what makes a per-landmark failure
-    detectable against the reinit threshold.
+    detectable against the reinit threshold.  A SequenceError when no
+    landmark is both in view at pose and visible in the frame.
     """
     model = render_frame(skel, pose, cam, frame.frame_index)
     idx = np.flatnonzero(model.visible & frame.visible)
     if idx.size == 0:
-        raise ValueError("no visible landmarks")
+        raise SequenceError(f"frame {frame.frame_index}: no visible landmarks")
     diff = model.uv[idx] - frame.uv[idx]
     # per-row inner products, the same dot that np.linalg.norm takes of one
     # row, so each distance equals the per-landmark norm to the bit
@@ -128,14 +133,22 @@ def step_frame(
     landmarks, solves the box-constrained l1 problem on the rows of the
     landmarks in view, applies theta += omega with clamping and
     T_c <- exp(rho) T_c, and flags reinitialization when the reprojection
-    error of the updated pose exceeds the threshold.  Unrecoverable frames
-    are skipped with the flag raised and leave the state as it was.
+    error of the updated pose exceeds the threshold.  A frame that cannot be
+    assembled or leaves no landmark in view (AssemblyError, SequenceError)
+    is skipped with the flag raised and leaves the state as it was.
     """
     try:
         rates, both = differential_observation(state.last_frame, frame, cam)
         sys = assemble_system(skel, state.pose, cam, both)
         motion, stats = solve_rf(sys, rates[sys.visible_index].ravel(), opts.solve)
-    except (AssemblyError, SequenceError, RankDeficientError):
+        theta = clamp_angles(state.pose.theta + motion.omega, skel)
+        Tc = exp_twist_vector(motion.rho).compose(state.pose.camera_to_root)
+        steps = state.steps + 1
+        if steps % _RENORM_EVERY == 0:
+            Tc = Tc.renormalized()
+        pose = Pose(Tc, theta)
+        err = reprojection_error(skel, pose, frame, cam)
+    except (AssemblyError, SequenceError):
         result = FrameResult(
             frame_index=frame.frame_index,
             rho=np.zeros(6),
@@ -148,13 +161,6 @@ def step_frame(
         )
         return state, result
 
-    theta = clamp_angles(state.pose.theta + motion.omega, skel)
-    Tc = exp_twist_vector(motion.rho).compose(state.pose.camera_to_root)
-    steps = state.steps + 1
-    if steps % _RENORM_EVERY == 0:
-        Tc = Tc.renormalized()
-    pose = Pose(Tc, theta)
-    err = reprojection_error(skel, pose, frame, cam)
     reinit = err > opts.reinit_threshold_px
     result = FrameResult(
         frame_index=frame.frame_index,
@@ -222,35 +228,52 @@ def track_sequence(
 
 
 def load_landmark_csv(text: str, n_landmarks: int) -> list[LandmarkFrame]:
-    """Parse `frame,landmark_id,u,v,visible` rows; missing rows are invisible."""
-    reader = csv.DictReader(text.splitlines())
+    """Parse `frame,landmark_id,u,v,visible` rows; missing rows are invisible.
+    A SequenceError names a row whose numbers do not parse, a landmark id out
+    of range, a non-finite u or v, and a CSV with no rows."""
+    reader = csv.DictReader(text.splitlines(), restval="")
     required = {"frame", "landmark_id", "u", "v", "visible"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise SequenceError(f"landmark CSV must have columns {sorted(required)}")
     by_frame: dict[int, list] = {}
     for row in reader:
-        by_frame.setdefault(int(row["frame"]), []).append(row)
+        try:
+            fidx, lid = int(row["frame"]), int(row["landmark_id"])
+            uv = (float(row["u"]), float(row["v"]))
+        except ValueError as e:
+            raise SequenceError(f"line {reader.line_num}: {e}") from e
+        if lid < 0 or lid >= n_landmarks:
+            raise SequenceError(f"landmark id {lid} out of range")
+        if not np.all(np.isfinite(uv)):
+            raise SequenceError(f"frame {fidx} landmark {lid}: u, v must be finite")
+        flag = row["visible"].strip() in ("1", "true", "True")
+        by_frame.setdefault(fidx, []).append((lid, uv, flag))
+    if not by_frame:
+        raise SequenceError("landmark CSV contains no frames")
     frames = []
     for fidx in sorted(by_frame):
         uv = np.zeros((n_landmarks, 2))
         vis = np.zeros(n_landmarks, dtype=bool)
-        for row in by_frame[fidx]:
-            lid = int(row["landmark_id"])
-            if lid < 0 or lid >= n_landmarks:
-                raise SequenceError(f"landmark id {lid} out of range")
-            uv[lid] = (float(row["u"]), float(row["v"]))
-            vis[lid] = row["visible"].strip() in ("1", "true", "True")
+        for lid, point, flag in by_frame[fidx]:
+            uv[lid] = point
+            vis[lid] = flag
         frames.append(LandmarkFrame(fidx, uv, vis))
     return frames
 
 
 def pose_from_json(obj, dof: int) -> Pose:
-    """Pose from {cameraToRoot: {rotation: 9 row-major, translation: [3]}, theta_deg: [d]}."""
+    """Pose from {cameraToRoot: {rotation: 9 row-major, translation: [3]},
+    theta_deg: [d]}; an InputError when a count is wrong or a number is not
+    finite."""
     rot = np.asarray(obj["cameraToRoot"]["rotation"], dtype=float).reshape(3, 3)
     trans = np.asarray(obj["cameraToRoot"]["translation"], dtype=float)
     theta = np.radians(np.asarray(obj["theta_deg"], dtype=float))
     if theta.shape != (dof,):
-        raise ValueError(f"pose has {theta.size} angles, expected {dof}")
+        raise InputError(f"pose has {theta.size} angles, expected {dof}")
+    if trans.shape != (3,):
+        raise InputError(f"pose translation has {trans.size} entries, expected 3")
+    if not all(np.all(np.isfinite(a)) for a in (rot, trans, theta)):
+        raise InputError("pose must be finite")
     return Pose(RigidTransform(rot, trans), theta)
 
 

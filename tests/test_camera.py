@@ -15,6 +15,7 @@ from sparsemotion.camera import (
     stacked_projection_blocks,
     stacked_projection_kernel,
 )
+from sparsemotion.errors import InputError
 from sparsemotion.kinematics import (
     Pose,
     articulated_jacobian,
@@ -40,6 +41,20 @@ class TestCameraModel:
     def test_rejects_nonpositive_min_depth(self):
         with pytest.raises(ValueError):
             CameraModel(focal=1145.0, min_depth=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"focal": float("nan")}, "focal must be positive"),
+        ({"min_depth": float("nan")}, "min_depth must be positive"),
+        ({"principal": [1.0, 2.0, 3.0]}, "principal must be 2 finite numbers"),
+        ({"principal": [1.0, float("inf")]},
+         "principal must be 2 finite numbers"),
+    ])
+    def test_rejects_bad_numbers(self, kwargs, message):
+        """A NaN focal or min_depth passed the old `<= 0` tests, and a
+        principal point of 3 numbers failed only when a pixel was first
+        converted."""
+        with pytest.raises(InputError, match=message):
+            CameraModel(**{"focal": 1145.0, **kwargs})
 
 
 class TestProjection:

@@ -106,6 +106,28 @@ def nan_observation(paths, tmp_path) -> str:
     return str(path)
 
 
+def track_csv(row, *flags):
+    """argv for track, with flags, over one frame rendered at the pose,
+    with landmark 3's row replaced by row, or the header alone for None."""
+    def argv(paths, tmp_path):
+        rows = landmark_csv(paths, [paths["pose_obj"]]).splitlines()
+        rows = rows[:1] if row is None else [*rows[:4], row, *rows[5:]]
+        path = tmp_path / "landmarks.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return ["track", "--skeleton", paths["skel"], "--camera", paths["cam"],
+                "--init-pose", paths["pose"], "--landmarks", str(path), *flags]
+    return argv
+
+
+def nan_pose(paths, tmp_path) -> str:
+    """Path of the pose with angle 3 NaN."""
+    pose = json.loads(Path(paths["pose"]).read_text())
+    pose["theta_deg"][3] = float("nan")
+    path = tmp_path / "nan_pose.json"
+    path.write_text(json.dumps(pose))
+    return str(path)
+
+
 def unsamplable_toy8() -> str:
     """toy8 with landmark 0 at the camera's depth 0 in every pose."""
     cfg = json.loads(toy8_config())
@@ -205,16 +227,32 @@ def unsamplable_toy8() -> str:
                  None, 1, "a support size exceeds 40 DoF",
                  id="synth-bench-size-above-dof"),
     pytest.param(synth_bench({"trials": 0}),
-                 None, 1, "trials must be at least 1", id="synth-bench-zero-trials"),
+                 None, 1, "trials must be >= 1", id="synth-bench-zero-trials"),
     pytest.param(synth_bench({"rigid_scale": -1.0}),
                  None, 1, "rigid scale must be nonnegative",
                  id="synth-bench-negative-rigid-scale"),
     pytest.param(lambda p, t: ["solve-frame", *base_args(p), "--observation",
                                nan_observation(p, t)],
                  None, 1, "observation must be finite", id="observation-nan"),
+    pytest.param(track_csv("0,3,nan,1.0,1"), None, 1,
+                 "frame 0 landmark 3: u, v must be finite", id="track-csv-nan"),
+    pytest.param(track_csv("0,3,1.0,inf,1"), None, 1,
+                 "frame 0 landmark 3: u, v must be finite", id="track-csv-inf"),
+    pytest.param(track_csv("0,3,abc,1.0,1"), None, 1,
+                 "line 5: could not convert string to float: 'abc'",
+                 id="track-csv-not-a-number"),
+    pytest.param(track_csv(None), None, 1, "landmark CSV contains no frames",
+                 id="track-csv-no-frames"),
+    pytest.param(track_csv("0,3,1.0,2.0,1", "--reinit-threshold", "nan"),
+                 None, 1, "reinit threshold must be positive",
+                 id="track-reinit-threshold-nan"),
+    pytest.param(lambda p, t: ["pksp-check", "--skeleton", p["skel"],
+                               "--camera", p["cam"], "--pose",
+                               nan_pose(p, t), "--support", "1"],
+                 None, 1, "bad pose: pose must be finite", id="pose-nan"),
     pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
                                "12,40"],
-                 None, 1, "--support indices outside 0..39",
+                 None, 1, "support indices out of range 0..39",
                  id="pksp-support-out-of-range"),
     pytest.param(lambda p, t: [*solve_args(p), "--solver", "l0",
                                "--l0-max-support", "5"],
@@ -573,6 +611,32 @@ class TestTrack:
         lines = [json.loads(x) for x in out_path.read_text().splitlines()]
         assert [line.get("frame") for line in lines[:-1]] == [0, 1, 2]
         assert not any(line["skipped"] for line in lines[:-1])
+
+    def test_no_landmark_left_in_view_skips_frames(self, paths, tmp_path,
+                                                   capsys):
+        """The body moves 1.0 and then 2.0 toward a camera whose min_depth
+        lies 0.05 below the nearest landmark: no landmark is left in view
+        at either solved pose, and both frames are written as skipped."""
+        pose = paths["pose_obj"]
+        _, _, pts = fk_arrays(paths["skel_obj"], pose)
+        near = tmp_path / "near_camera.json"
+        near.write_text(json.dumps({"focal_px": 1145.0,
+                                    "min_depth": np.min(pts[:, 2]) - 0.05}))
+        Tc = pose.camera_to_root
+        lm_path = tmp_path / "landmarks.csv"
+        lm_path.write_text(landmark_csv(paths, [
+            Pose(RigidTransform(Tc.rotation, Tc.translation - [0.0, 0.0, dz]),
+                 pose.theta) for dz in (1.0, 2.0)]))
+        out_path = tmp_path / "track.jsonl"
+        code = run(["track", "--skeleton", paths["skel"],
+                    "--camera", str(near), "--init-pose", paths["pose"],
+                    "--landmarks", str(lm_path), "--out", str(out_path)])
+        capsys.readouterr()
+        assert code == 0
+        lines = [json.loads(x) for x in out_path.read_text().splitlines()]
+        assert [(line["frame"], line["skipped"], line["reinit"])
+                for line in lines[:-1]] == [(0, True, True), (1, True, True)]
+        assert lines[-1]["reinit_count"] == 2
 
     def test_bad_landmark_csv(self, paths, tmp_path, capsys):
         lm_path = tmp_path / "bad.csv"

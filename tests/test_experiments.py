@@ -20,6 +20,7 @@ from sparsemotion.experiments import (
     write_trials_jsonl,
 )
 from sparsemotion.camera import assemble_system
+from sparsemotion.errors import InputError
 from sparsemotion.kinematics import Pose, fk_arrays
 from sparsemotion.liegroup import RigidTransform
 
@@ -254,6 +255,34 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             run_sweep(skel40, [skel40_pose], cam1145, [(1, 0.0)], trials=0,
                       seed=4)
+
+    @pytest.mark.parametrize("grid, occlude, message", [
+        pytest.param([], None, "the grid has no cells", id="empty-grid"),
+        pytest.param([(1, 0.0), (41, 0.0)], None,
+                     "a support size exceeds 40 DoF", id="size-above-dof"),
+        pytest.param([(1, 0.0), (1, -0.5)], None,
+                     "noise std must be nonnegative", id="cell-refused"),
+        pytest.param([(1, 0.0)], -1, "occlude_landmark -1 is not an int",
+                     id="occlude-negative"),
+        pytest.param([(1, 0.0)], 13, r"not an int in \[0, 13\)",
+                     id="occlude-past-last"),
+        pytest.param([(1, 0.0)], 2.0, "occlude_landmark 2.0",
+                     id="occlude-float"),
+    ])
+    def test_rejects_arguments_before_any_trial(self, skel40, cam1145,
+                                                skel40_pose, monkeypatch,
+                                                grid, occlude, message):
+        """A sweep that cannot run as asked raises an InputError before
+        its first trial: an occlude_landmark of -1 would otherwise hide
+        landmark 12, and a size above the DoF would fail only after the
+        cells before it ran."""
+        trials = []
+        monkeypatch.setattr(experiments, "run_trial",
+                            lambda *args, **kwargs: trials.append(args))
+        with pytest.raises(InputError, match=message):
+            run_sweep(skel40, [skel40_pose], cam1145, grid, trials=1, seed=4,
+                      occlude_landmark=occlude)
+        assert trials == []
 
     def test_deterministic_for_fixed_seed(self, skel40, cam1145):
         rng = np.random.default_rng(9)

@@ -3,6 +3,7 @@ import pytest
 
 from sparsemotion import pksp, solvers
 from sparsemotion.camera import RankDeficientError, assemble_system, reduce_system
+from sparsemotion.errors import InputError
 from sparsemotion.experiments import (
     TrialConfig,
     gen_sparse_motion,
@@ -48,8 +49,10 @@ class TestSupport:
         assert s.indices == (1, 3)
 
     def test_extract_support_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            extract_support(np.zeros(3), epsilon=0.0)
+        # no rate exceeds a NaN threshold, so NaN would read as an empty support
+        for epsilon in (0.0, float("nan")):
+            with pytest.raises(InputError, match="epsilon must be positive"):
+                extract_support(np.array([0.0, 2e-4]), epsilon)
 
 
 class TestEliminateRigid:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparsemotion.camera import CameraModel, in_view, project
+from sparsemotion.errors import InputError
 from sparsemotion.kinematics import Pose, clamp_angles, fk_arrays
 from sparsemotion.liegroup import RigidTransform
 from sparsemotion.solvers import SolveOptions
@@ -247,6 +248,26 @@ class TestStepFrame:
         assert not result.skipped and not result.reinit
         assert result.reproj_err_px < 1e-3
 
+    def test_no_landmark_left_in_view_skips_frame(self, skel40, cam1145,
+                                                  skel40_pose):
+        """The body moves 1.0 and then 2.0 toward a camera whose min_depth
+        lies 0.05 below the nearest landmark: each solved pose leaves no
+        landmark in view to reproject, so each frame is skipped with the
+        flag raised and the state is left as it was."""
+        _, _, pts = fk_arrays(skel40, skel40_pose)
+        near = CameraModel(focal=cam1145.focal,
+                           min_depth=np.min(pts[:, 2]) - 0.05)
+        Tc = skel40_pose.camera_to_root
+        frames = [render_frame(skel40, Pose(RigidTransform(
+            Tc.rotation, Tc.translation - [0.0, 0.0, dz]), skel40_pose.theta),
+            cam1145, k) for k, dz in enumerate((1.0, 2.0))]
+        state = make_initial_state(skel40, skel40_pose, near)
+        for frame in frames:
+            after, result = step_frame(state, frame, skel40, near, TIGHT)
+            assert after is state
+            assert result.skipped and result.reinit
+            assert np.isnan(result.reproj_err_px)
+
     def test_wrong_angle_count_raises(self, skel40, cam1145, skel40_pose):
         """A pose of the wrong dimension is a programming error, not a bad
         frame: it propagates instead of being skipped."""
@@ -341,6 +362,21 @@ class TestSerialization:
     def test_landmark_csv_header_check(self):
         with pytest.raises(SequenceError, match="columns"):
             load_landmark_csv("a,b\n1,2\n", 2)
+        with pytest.raises(SequenceError, match="no frames"):
+            load_landmark_csv("frame,landmark_id,u,v,visible\n", 2)
+
+    @pytest.mark.parametrize("row, message", [
+        ("4,1,nan,20.5,1", "frame 4 landmark 1: u, v must be finite"),
+        ("4,1,10.5,inf,1", "frame 4 landmark 1: u, v must be finite"),
+        ("4,1,-inf,NaN,1", "frame 4 landmark 1: u, v must be finite"),
+        ("4,1,abc,2.0,1", "line 3: could not convert string to float"),
+        ("x,1,1.0,2.0,1", "line 3: invalid literal for int"),
+        ("4,1,1.0", "line 3: could not convert string to float: ''"),
+    ])
+    def test_landmark_csv_number_check(self, row, message):
+        text = f"frame,landmark_id,u,v,visible\n0,0,10.5,20.5,1\n{row}\n"
+        with pytest.raises(SequenceError, match=message):
+            load_landmark_csv(text, 2)
 
     def test_landmark_csv_range_check(self):
         text = "frame,landmark_id,u,v,visible\n0,9,0,0,1\n"
@@ -356,6 +392,24 @@ class TestSerialization:
     def test_pose_json_dof_check(self, skel40_pose):
         with pytest.raises(ValueError):
             pose_from_json(pose_to_json(skel40_pose), 12)
+
+    @pytest.mark.parametrize("key, index, value, message", [
+        ("theta_deg", 3, float("nan"), "pose must be finite"),
+        ("rotation", 0, float("inf"), "pose must be finite"),
+        ("translation", 2, None, "translation has 2 entries, expected 3"),
+    ])
+    def test_pose_json_refuses_bad_numbers(self, skel40_pose, key, index,
+                                           value, message):
+        """A NaN angle would otherwise drop the landmarks below that joint
+        from every system assembled at the pose, without a word."""
+        obj = pose_to_json(skel40_pose)
+        entries = obj[key] if key == "theta_deg" else obj["cameraToRoot"][key]
+        if value is None:
+            del entries[index]
+        else:
+            entries[index] = value
+        with pytest.raises(InputError, match=message):
+            pose_from_json(obj, 40)
 
     def test_frame_jsonl_reports_solve_outcome(self, skel40, cam1145,
                                                skel40_pose):
