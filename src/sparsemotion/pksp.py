@@ -129,11 +129,14 @@ def check_pksp_order(Z: np.ndarray, s: int, budget: int = 2_000_000):
     Z is the d x k ambiguity basis, as for check_pksp.  Returns (verdict,
     worst_support): every support of size s is checked with check_pksp and
     the one with the smallest margin (the first in lexicographic order on
-    ties) is reported.  Refuses when comb(d, s) * 2^s exceeds budget.
+    ties) is reported.  Refuses when comb(d, s) * 2^s exceeds budget, which
+    must be at least 1.
     """
     d, k = Z.shape
     if not 0 <= s <= d:
         raise InputError(f"order {s} outside 0..{d}")
+    if budget < 1:
+        raise InputError(f"budget {budget} must be >= 1")
     if s == 0 or k == 0:
         return PkspVerdict(True, 1.0, None), Support(())
     if math.comb(d, s) * 2**s > budget:

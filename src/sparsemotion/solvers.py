@@ -8,7 +8,9 @@ solved by the dual simplex with presolve off.  Most of a call through
 scipy's public LP front end goes to checking its input and building the
 model, and filling the binding's LP object field by field copies the matrix
 element by element; on these small dense LPs presolve costs more than it
-saves.
+saves.  All LPs run on one HiGHS instance, which passModel resets to a cold
+start: building an instance costs about as much as a small LP, and each
+live one holds about 0.45 MB that freeing does not give back.
 
 The l1 and l2 solvers work on the reduced problem Btilde omega = ytilde
 obtained by projecting out the 6-dimensional rigid block, and recover rho
@@ -18,6 +20,7 @@ camera.assemble_system keeps on the system (camera.reduce_system).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -133,27 +136,51 @@ def _full(v, shape) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(v, shape), dtype=float)
 
 
+@functools.cache
+def _dense_rowwise(r: int, n: int):
+    """passModel's int32 start and index arrays of a dense r x n matrix
+    stored row-wise, and its n zero integrality flags: an empty integrality
+    array makes passModel reject the model.  Read-only, as every LP of that
+    shape shares them."""
+    arrays = (np.arange(0, n * r, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), r),
+              np.zeros(n, dtype=np.int32))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+_highs = None  # the one HiGHS instance _highs_lp runs every LP on
+
+
 def _highs_lp(what, cost, A, row_lo, row_hi, col_lo, col_hi, max_iter=None):
     """min cost'x s.t. row_lo <= A x <= row_hi, col_lo <= x <= col_hi (+-inf: no
-    bound) on a fresh HiGHS instance, since a live one holds its memory.
-    The dense A goes to HiGHS row-wise as arrays in one passModel call.
+    bound) on the shared HiGHS instance (not thread-safe).
+    The dense A goes to HiGHS row-wise as arrays in one passModel call, which
+    drops the previous LP's model, basis and solution, so every LP starts
+    cold and takes the pivots, iterations and bits a new instance would.  It
+    is not warm-started: a warm start would change the pivot path, and with
+    it the iteration counts, the last bits and possibly the final status.
     Returns (status, x, row_dual, iterations), status a key of _TERMINATION;
     x and the row duals (the sign scipy reports as eqlin.marginals) are None
     unless the LP was solved.  A model HiGHS rejects, or any other status,
     raises SolverError naming what.
     """
-    r, n = A.shape
-    h = highs._Highs()
-    for name, value in _HIGHS_OPTIONS.items():
-        h.setOptionValue(name, value)
-    if max_iter is not None:
-        h.setOptionValue("simplex_iteration_limit", int(max_iter))
-    # an empty integrality array makes passModel reject the model
+    global _highs
+    # built on first use, and again when highs._Highs is no longer its class,
+    # so an instance of a class a test patches in does not outlive the patch
+    if type(_highs) is not highs._Highs:
+        _highs = highs._Highs()
+        for name, value in _HIGHS_OPTIONS.items():
+            _highs.setOptionValue(name, value)
+    h, (r, n) = _highs, A.shape
+    # set on every LP, so none inherits the previous one's limit
+    h.setOptionValue("simplex_iteration_limit",
+                     highs.kHighsIInf if max_iter is None else int(max_iter))
+    start, index, integrality = _dense_rowwise(r, n)
     passed = h.passModel(
         n, r, n * r, highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize, 0.0,
         _full(cost, n), _full(col_lo, n), _full(col_hi, n), _full(row_lo, r), _full(row_hi, r),
-        np.arange(0, n * r, n, dtype=np.int32), np.tile(np.arange(n, dtype=np.int32), r),
-        _full(A, (r, n)).ravel(), np.zeros(n, dtype=np.int32))
+        start, index, _full(A, (r, n)).ravel(), integrality)
     if passed == highs.HighsStatus.kError:
         raise SolverError(f"{what} LP failed: HiGHS rejected the model")
     h.run()

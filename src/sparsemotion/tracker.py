@@ -18,6 +18,9 @@ from .liegroup import RigidTransform, exp_twist_vector
 from .solvers import SUPPORT_EPSILON, SolveOptions, Support, extract_support, solve_rf
 
 _RENORM_EVERY = 100  # composition steps between rotation renormalizations
+# largest |R'R - I| entry and |det R - 1| of a pose file's rotation: a rotation
+# written to 6 decimals is within 4e-6 of orthonormal
+_POSE_ROTATION_TOL = 1e-5
 
 
 class SequenceError(InputError):
@@ -263,8 +266,8 @@ def load_landmark_csv(text: str, n_landmarks: int) -> list[LandmarkFrame]:
 
 def pose_from_json(obj, dof: int) -> Pose:
     """Pose from {cameraToRoot: {rotation: 9 row-major, translation: [3]},
-    theta_deg: [d]}; an InputError when a count is wrong or a number is not
-    finite."""
+    theta_deg: [d]}; an InputError when a count is wrong, a number is not
+    finite or the rotation is not one within _POSE_ROTATION_TOL."""
     rot = np.asarray(obj["cameraToRoot"]["rotation"], dtype=float).reshape(3, 3)
     trans = np.asarray(obj["cameraToRoot"]["translation"], dtype=float)
     theta = np.radians(np.asarray(obj["theta_deg"], dtype=float))
@@ -274,7 +277,10 @@ def pose_from_json(obj, dof: int) -> Pose:
         raise InputError(f"pose translation has {trans.size} entries, expected 3")
     if not all(np.all(np.isfinite(a)) for a in (rot, trans, theta)):
         raise InputError("pose must be finite")
-    return Pose(RigidTransform(rot, trans), theta)
+    camera_to_root = RigidTransform(rot, trans)
+    if not camera_to_root.is_valid(_POSE_ROTATION_TOL):
+        raise InputError("pose rotation is not a rotation matrix")
+    return Pose(camera_to_root, theta)
 
 
 def pose_to_json(pose: Pose) -> dict:

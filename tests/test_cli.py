@@ -128,6 +128,16 @@ def nan_pose(paths, tmp_path) -> str:
     return str(path)
 
 
+def scaled_rotation_pose(paths, tmp_path) -> str:
+    """Path of the pose with its rotation scaled by 2 (det 8)."""
+    pose = json.loads(Path(paths["pose"]).read_text())
+    rot = pose["cameraToRoot"]["rotation"]
+    pose["cameraToRoot"]["rotation"] = [2.0 * r for r in rot]
+    path = tmp_path / "scaled_pose.json"
+    path.write_text(json.dumps(pose))
+    return str(path)
+
+
 def unsamplable_toy8() -> str:
     """toy8 with landmark 0 at the camera's depth 0 in every pose."""
     cfg = json.loads(toy8_config())
@@ -250,10 +260,19 @@ def unsamplable_toy8() -> str:
                                "--camera", p["cam"], "--pose",
                                nan_pose(p, t), "--support", "1"],
                  None, 1, "bad pose: pose must be finite", id="pose-nan"),
+    pytest.param(lambda p, t: ["pksp-check", "--skeleton", p["skel"],
+                               "--camera", p["cam"], "--pose",
+                               scaled_rotation_pose(p, t), "--support",
+                               "12,27"],
+                 None, 1, "bad pose: pose rotation is not a rotation matrix",
+                 id="pose-rotation-scaled"),
     pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--support",
                                "12,40"],
                  None, 1, "support indices out of range 0..39",
                  id="pksp-support-out-of-range"),
+    pytest.param(lambda p, t: ["pksp-check", *base_args(p), "--order", "1",
+                               "--budget", "-1"],
+                 None, 1, "budget -1 must be >= 1", id="pksp-budget-negative"),
     pytest.param(lambda p, t: [*solve_args(p), "--solver", "l0",
                                "--l0-max-support", "5"],
                  None, 2, "exceeds budget", id="l0-budget"),

@@ -15,7 +15,8 @@ from scipy.optimize._highspy import _core as highs
 
 from sparsemotion import solvers
 
-NAMES = ("_Highs", "MatrixFormat", "ObjSense", "HighsStatus", "HighsModelStatus")
+NAMES = ("_Highs", "MatrixFormat", "ObjSense", "HighsStatus", "HighsModelStatus",
+         "kHighsIInf")
 MEMBERS = {
     "HighsModelStatus": ("kOptimal", "kIterationLimit", "kInfeasible"),
     "HighsStatus": ("kOk", "kError"),

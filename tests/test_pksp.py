@@ -14,6 +14,7 @@ from sparsemotion.pksp import (
     check_pksp_order,
 )
 from sparsemotion.camera import RankDeficientError
+from sparsemotion.errors import InputError
 from sparsemotion.solvers import SolverError, Support
 
 from conftest import plant_highs_status, plant_pass_model_error
@@ -295,6 +296,14 @@ class TestCheckPkspOrder:
         Z = skel40_system.reduction.null_space
         with pytest.raises(BudgetExceededError):
             check_pksp_order(Z, 9, budget=1000)
+
+    def test_budget_below_one_is_an_input_error(self, skel40_system):
+        """No enumeration fits a budget below 1: that is the caller's
+        mistake, not a resource limit, at every order."""
+        Z = skel40_system.reduction.null_space
+        for s, budget in ((1, -1), (1, 0), (0, -1)):
+            with pytest.raises(InputError, match=f"budget {budget} must be >= 1"):
+                check_pksp_order(Z, s, budget=budget)
 
 
 class TestBuildAmbiguousObservation:

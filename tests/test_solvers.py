@@ -354,6 +354,66 @@ class TestArrayHandOff:
             assert as_bytes(solvers._highs_lp(*args)) == as_bytes(
                 highs_lp_object_reference(*args))
 
+    def test_reused_instance_solves_as_a_fresh_one(self, skel40, cam1145,
+                                                   skel40_system, monkeypatch):
+        """One instance runs a mixed sequence of LPs, each as a new one
+        would: an iteration limit, then no limit, an infeasible box, a
+        rejected model and an optimum."""
+        rng = np.random.default_rng(11)
+        sys_m = assemble_system(skel40, sample_pose(skel40, np.random.default_rng(3)), cam1145)
+        y, _, _ = sparse_observation(sys_m, (4, 17, 30), [3e-2, -2e-2, 4e-2], rng=rng)
+        noisy = y + rng.normal(0.0, 2.0 / 1145.0, y.shape)
+        limited, = recorded_lps(monkeypatch, solvers, "_highs_lp",
+                                lambda: solve_rf(sys_m, y, SolveOptions(max_iter=3)))
+        boxed, unboxed = recorded_lps(
+            monkeypatch, solvers, "_highs_lp",
+            lambda: solve_rf(sys_m, noisy, SolveOptions(max_iter=20000, box_enabled=True)))
+        patterns = recorded_lps(monkeypatch, pksp, "linprog", lambda: pksp.check_pksp(
+            skel40_system.reduction.null_space, (4, 12, 27, 33)))
+        longest = max(patterns, key=lambda args: highs_lp_object_reference(*args)[3])
+        sequence = [limited, longest, boxed]
+        expected = [as_bytes(highs_lp_object_reference(*args)) for args in sequence]
+        M = solvers.highs.HighsModelStatus
+        assert [status for status, *_ in expected] == [M.kIterationLimit, M.kOptimal,
+                                                       M.kInfeasible]
+        assert expected[1][1] > 3  # iterations past the limit of the LP before it
+        for args, reference in zip(sequence, expected):
+            assert as_bytes(solvers._highs_lp(*args)) == reference
+        with monkeypatch.context() as mp:
+            plant_pass_model_error(mp)
+            with pytest.raises(SolverError, match="HiGHS rejected the model"):
+                solvers._highs_lp(*unboxed)
+        reference = as_bytes(highs_lp_object_reference(*unboxed))
+        assert reference[0] == M.kOptimal
+        assert as_bytes(solvers._highs_lp(*unboxed)) == reference
+
+    def test_one_instance_serves_every_lp(self, skel40_system, monkeypatch):
+        built = []
+
+        class Counting(solvers.highs._Highs):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        Z = skel40_system.reduction.null_space
+        rng = np.random.default_rng(12)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers.highs, "_Highs", Counting)
+            pksp.check_pksp(Z, (4, 12, 27, 33))
+            for idx in ((5,), (9, 21), (3, 14, 30)):
+                y, _, _ = sparse_observation(skel40_system, idx, [2e-3] * len(idx), rng=rng)
+                solve_rf(skel40_system, y)
+        assert len(built) == 1
+        # with the class restored, the verdict of a new instance per LP
+        verdict = pksp.check_pksp(Z, (4, 12, 27, 33))
+        with monkeypatch.context() as mp:
+            mp.setattr(pksp, "linprog", highs_lp_object_reference)
+            fresh = pksp.check_pksp(Z, (4, 12, 27, 33))
+        assert (verdict.holds, verdict.margin) == (fresh.holds, fresh.margin)
+        assert (verdict.counterexample is None) == (fresh.counterexample is None)
+        if fresh.counterexample is not None:
+            assert verdict.counterexample.tobytes() == fresh.counterexample.tobytes()
+
 
 class TestSolveL2:
     def test_fits_constraint_with_min_norm(self, skel40_system):

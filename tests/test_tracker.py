@@ -8,7 +8,7 @@ import pytest
 from sparsemotion.camera import CameraModel, in_view, project
 from sparsemotion.errors import InputError
 from sparsemotion.kinematics import Pose, clamp_angles, fk_arrays
-from sparsemotion.liegroup import RigidTransform
+from sparsemotion.liegroup import RigidTransform, exp_twist_vector
 from sparsemotion.solvers import SolveOptions
 from sparsemotion.tracker import (
     LandmarkFrame,
@@ -397,6 +397,7 @@ class TestSerialization:
         ("theta_deg", 3, float("nan"), "pose must be finite"),
         ("rotation", 0, float("inf"), "pose must be finite"),
         ("translation", 2, None, "translation has 2 entries, expected 3"),
+        ("rotation", 0, 2.0, "pose rotation is not a rotation matrix"),
     ])
     def test_pose_json_refuses_bad_numbers(self, skel40_pose, key, index,
                                            value, message):
@@ -410,6 +411,21 @@ class TestSerialization:
             entries[index] = value
         with pytest.raises(InputError, match=message):
             pose_from_json(obj, 40)
+
+    def test_pose_json_loads_rotation_written_to_6_decimals(self, skel40_pose):
+        """Pose 7, its camera turned off the axes, with every number rounded
+        to 6 decimals: the rotation is orthonormal only to about 1e-6, and
+        loads as written."""
+        turned = exp_twist_vector([0.0, 0.0, 0.0, 0.3, -0.5, 0.9]).compose(
+            skel40_pose.camera_to_root)
+        obj = pose_to_json(Pose(turned, skel40_pose.theta))
+        obj["theta_deg"] = np.round(obj["theta_deg"], 6).tolist()
+        for key, values in obj["cameraToRoot"].items():
+            obj["cameraToRoot"][key] = np.round(values, 6).tolist()
+        rotation = np.reshape(obj["cameraToRoot"]["rotation"], (3, 3))
+        assert not RigidTransform(rotation, np.zeros(3)).is_valid()
+        back = pose_from_json(obj, 40)
+        np.testing.assert_array_equal(back.camera_to_root.rotation, rotation)
 
     def test_frame_jsonl_reports_solve_outcome(self, skel40, cam1145,
                                                skel40_pose):
