@@ -8,6 +8,12 @@ strictly less l1 mass on F than off F.  The check fixes the signs on F
 so a verdict is decided, not sampled: "holds" rests on the LP optima and
 "fails" carries a counterexample.  The LPs go to HiGHS through the same
 builder as solvers' basis pursuit.
+
+A whole order is certified by an exact search: the margins of the
+(s-1)-subsets bound every size-s support's margin from below
+(sub-additivity of the on-support mass), and check_pksp runs only on the
+supports that bound cannot rule out as the worst.  Its answer is the one
+exhaustive enumeration gives.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ from .solvers import BudgetExceededError, SolverError, Support
 from .solvers import _highs_lp as linprog
 
 _AMBIGUITY_TOL = 1e-9  # build_ambiguous_observation's membership and inequality slack
+# check_pksp_order stops once a support's margin bound exceeds the worst
+# margin found by this much.  It must sit far above the error of an LP
+# optimum; a larger slack only checks more supports.
+_ORDER_SLACK = 1e-6
 
 
 class InvalidCounterexampleError(InputError):
@@ -127,10 +137,22 @@ def check_pksp_order(Z: np.ndarray, s: int, budget: int = 2_000_000):
     """Decide the property for every support of size s, 0 <= s <= d.
 
     Z is the d x k ambiguity basis, as for check_pksp.  Returns (verdict,
-    worst_support): every support of size s is checked with check_pksp and
-    the one with the smallest margin (the first in lexicographic order on
-    ties) is reported.  Refuses when comb(d, s) * 2^s exceeds budget, which
-    must be at least 1.
+    worst_support): the support with the smallest margin (the first in
+    lexicographic order on ties) and its check_pksp verdict, as exhaustive
+    enumeration finds them; with no ambiguity vector (k == 0) every margin
+    is 1 and that is (0, ..., s-1).  Refuses when comb(d, s) * 2^s exceeds
+    budget, which must be at least 1.
+
+    The search is exact.  With alpha_G = (1 - margin_G) / 2 the largest
+    share of l1 mass a unit ambiguity vector carries on G, each DoF of F
+    lies in s-1 of F's subsets of size s-1, so alpha_F <= sum_G alpha_G /
+    (s-1).  The margins of those subsets (check_pksp on each) thus bound
+    margin_F from below.  Supports are checked in ascending order of their
+    bound, and the search stops at the first bound above the worst margin
+    found by more than _ORDER_SLACK: no support left can match it.  The
+    subsets are checked only while their LPs number no more than the
+    supports' own, so the budget still caps the LPs of the worst case, in
+    which no support is ruled out.
     """
     d, k = Z.shape
     if not 0 <= s <= d:
@@ -138,16 +160,33 @@ def check_pksp_order(Z: np.ndarray, s: int, budget: int = 2_000_000):
     if budget < 1:
         raise InputError(f"budget {budget} must be >= 1")
     if s == 0 or k == 0:
-        return PkspVerdict(True, 1.0, None), Support(())
+        return PkspVerdict(True, 1.0, None), Support(tuple(range(s)))
     if math.comb(d, s) * 2**s > budget:
         raise BudgetExceededError(
             f"comb({d},{s}) * 2^{s} support/sign enumerations exceed budget {budget}"
         )
-    worst_margin = np.inf
-    for comb in itertools.combinations(range(d), s):
-        verdict = check_pksp(Z, comb)
-        if verdict.margin < worst_margin:
-            worst_margin, worst_sup, worst_verdict = verdict.margin, comb, verdict
+    supports = list(itertools.combinations(range(d), s))
+    # bound only while the subsets' comb(d, s-1) * 2^(s-2) LPs are no more
+    # than the supports' comb(d, s) * 2^(s-1)
+    if s == 1 or 3 * s > 2 * d + 2:
+        bound = np.full(len(supports), -np.inf)
+    else:
+        alpha = {
+            G: (1.0 - check_pksp(Z, G).margin) / 2.0
+            for G in itertools.combinations(range(d), s - 1)
+        }
+        bound = np.array([
+            1.0 - 2.0 * sum(alpha[G] for G in itertools.combinations(F, s - 1)) / (s - 1)
+            for F in supports
+        ])
+    worst_margin, worst_sup, worst_verdict = np.inf, None, None
+    for i in np.argsort(bound, kind="stable"):
+        if bound[i] > worst_margin + _ORDER_SLACK:
+            break
+        F = supports[i]
+        verdict = check_pksp(Z, F)
+        if (verdict.margin, F) < (worst_margin, worst_sup):
+            worst_margin, worst_sup, worst_verdict = verdict.margin, F, verdict
     return worst_verdict, Support(worst_sup)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from sparsemotion.camera import assemble_system
 from sparsemotion.experiments import sample_pose
 from sparsemotion.kinematics import Pose, load_skeleton
 from sparsemotion.liegroup import RigidTransform
+from sparsemotion.pksp import check_pksp
 
 
 def toy12_config() -> str:
@@ -91,6 +93,18 @@ def in_bounds_pose(skel, rng, spread=0.5, depth=3.0) -> Pose:
     return Pose(camera_to_root=Tc, theta=theta)
 
 
+def enumerated_order(Z, s):
+    """(worst support, verdict) of order s by exhaustive enumeration:
+    check_pksp on every support in lexicographic order, keeping the first
+    with the smallest margin.  The reference for check_pksp_order."""
+    worst = None
+    for F in itertools.combinations(range(Z.shape[0]), s):
+        verdict = check_pksp(Z, F)
+        if worst is None or verdict.margin < worst[1].margin:
+            worst = (F, verdict)
+    return worst
+
+
 def plant_highs_status(monkeypatch, status):
     """End every LP, basis pursuit and sign pattern alike, in the HiGHS
     model status given: the instances solvers makes report it where
@@ -137,6 +151,12 @@ def toy8():
 def toy12_system(toy12, cam1145):
     pose = in_bounds_pose(toy12, np.random.default_rng(5))
     return assemble_system(toy12, pose, cam1145)
+
+
+@pytest.fixture(scope="session")
+def toy8_system(toy8, cam1145):
+    pose = in_bounds_pose(toy8, np.random.default_rng(5))
+    return assemble_system(toy8, pose, cam1145)
 
 
 @pytest.fixture(scope="session")

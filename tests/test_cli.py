@@ -23,7 +23,7 @@ from sparsemotion.tracker import (
     track_sequence,
 )
 
-from conftest import plant_highs_status, toy12_config, toy8_config
+from conftest import enumerated_order, plant_highs_status, toy12_config, toy8_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -444,6 +444,20 @@ class TestPkspCheck:
         assert code == 3  # the root joint alone defeats order-1 recovery
         assert out["order"] == 1
         assert "worst_support" in out
+
+    def test_order_two_matches_exhaustive_enumeration(self, paths, capsys):
+        """--order 2 on the skeleton prints the worst support, margin,
+        counterexample and exit code of check_pksp run on every pair."""
+        pose = pose_from_json(json.loads(Path(paths["pose"]).read_text()), 40)
+        Z = assemble_system(paths["skel_obj"], pose, paths["cam_obj"]).reduction.null_space
+        F, expected = enumerated_order(Z, 2)
+        code = run(["pksp-check", *base_args(paths), "--order", "2"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["worst_support"] == list(F)
+        assert out["margin"] == expected.margin
+        counter = expected.counterexample
+        assert out.get("counterexample") == (None if counter is None else counter.tolist())
+        assert code == (0 if expected.holds else 3)
 
     def test_budget_exit_code(self, paths, capsys):
         code = run(["pksp-check", *base_args(paths), "--order", "9",

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from sparsemotion import solvers
+from sparsemotion import pksp, solvers
 from sparsemotion.pksp import (
     BudgetExceededError,
     InvalidCounterexampleError,
@@ -17,7 +18,7 @@ from sparsemotion.camera import RankDeficientError
 from sparsemotion.errors import InputError
 from sparsemotion.solvers import SolverError, Support
 
-from conftest import plant_highs_status, plant_pass_model_error
+from conftest import enumerated_order, plant_highs_status, plant_pass_model_error
 
 
 def linprog_verdict(Z, F):
@@ -296,6 +297,57 @@ class TestCheckPkspOrder:
         Z = skel40_system.reduction.null_space
         with pytest.raises(BudgetExceededError):
             check_pksp_order(Z, 9, budget=1000)
+
+    @pytest.mark.parametrize("basis, orders", [
+        pytest.param(lambda r: r.getfixturevalue("toy8_system").reduction.null_space,
+                     (1, 2, 3, 7), id="toy8"),
+        pytest.param(lambda r: r.getfixturevalue("toy12_system").reduction.null_space,
+                     (1, 2, 3), id="toy12"),
+        pytest.param(lambda r: r.getfixturevalue("skel40_system").reduction.null_space,
+                     (2,), id="skel40"),
+        pytest.param(lambda r: line_basis([3.0, 1, 1, 1, 1, 1]), (2,), id="tie-3-1"),
+        pytest.param(lambda r: line_basis([2.0, 2, 1, 1, 1, 1]), (2,), id="tie-2-2"),
+        pytest.param(lambda r: np.linalg.qr(np.random.default_rng(3).standard_normal((8, 4)))[0],
+                     (2, 3), id="gaussian-8x4"),
+        pytest.param(lambda r: np.zeros((5, 0)), (0, 1, 2), id="empty-basis"),
+    ])
+    def test_matches_exhaustive_enumeration(self, basis, orders, request):
+        """The pruned search reports the support, holds, margin bits and
+        counterexample bits that check_pksp on every support in
+        lexicographic order gives.  On the two line bases several pairs
+        carry exactly half the l1 mass, so the tie rule decides; on the
+        Gaussian basis the bound is loose, and a search that stops 0.02
+        early misses the worst triple; on an empty basis every margin is 1
+        and the first support is the worst.  toy8 at order 7 has more
+        subsets of size 6 than supports, so it is enumerated outright."""
+        Z = basis(request)
+        for s in orders:
+            verdict, worst = check_pksp_order(Z, s)
+            F, expected = enumerated_order(Z, s)
+            assert worst.indices == F
+            assert verdict.holds == expected.holds
+            assert verdict.margin == expected.margin
+            if expected.counterexample is None:
+                assert verdict.counterexample is None
+            else:
+                assert verdict.counterexample.tobytes() == expected.counterexample.tobytes()
+
+    def test_search_skips_supports_the_bound_rules_out(self, skel40_system,
+                                                       monkeypatch):
+        """At order 2 on the skeleton the singleton margins rule out most
+        pairs: with the 40 singletons, check_pksp runs on under half of the
+        780 pairs."""
+        calls = []
+        check = pksp.check_pksp
+
+        def counting(Z, F):
+            calls.append(len(F))
+            return check(Z, F)
+
+        monkeypatch.setattr(pksp, "check_pksp", counting)
+        check_pksp_order(skel40_system.reduction.null_space, 2)
+        assert calls.count(1) == 40
+        assert calls.count(2) < math.comb(40, 2) / 2
 
     def test_budget_below_one_is_an_input_error(self, skel40_system):
         """No enumeration fits a budget below 1: that is the caller's
