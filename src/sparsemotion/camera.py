@@ -38,10 +38,10 @@ class CameraModel:
 
     def __post_init__(self):
         object.__setattr__(self, "principal", np.asarray(self.principal, dtype=float))
-        if not self.focal > 0:
-            raise InputError("focal must be positive")
-        if not self.min_depth > 0:
-            raise InputError("min_depth must be positive")
+        if not 0 < self.focal < np.inf:
+            raise InputError("focal must be positive and finite")
+        if not 0 < self.min_depth < np.inf:
+            raise InputError("min_depth must be positive and finite")
         if self.principal.shape != (2,) or not np.all(np.isfinite(self.principal)):
             raise InputError("principal must be 2 finite numbers")
 
@@ -119,21 +119,15 @@ def project(p, cam: CameraModel) -> np.ndarray:
     return p[..., :2] / z[..., None]
 
 
-def projection_jacobian(p, min_depth: float = 1e-3) -> np.ndarray:
-    """2x3 differential of the normalized projection at p."""
-    x, y, z = np.asarray(p, dtype=float)
-    if z < min_depth:
-        raise DepthError(f"depth {z:.3g} below minimum {min_depth:.3g}")
-    return np.array([[1.0 / z, 0.0, -x / z**2], [0.0, 1.0 / z, -y / z**2]])
-
-
 def stacked_projection_blocks(points, min_depth: float = 1e-3) -> np.ndarray:
-    """Block-diagonal 2N x 3N stacking of projection differentials."""
+    """Block-diagonal 2N x 3N stacking of the projection differentials,
+    block i = [[1/z, 0, -x/z^2], [0, 1/z, -y/z^2]] at point i = (x, y, z)."""
     x, y, z = np.atleast_2d(np.asarray(points, dtype=float)).T
     if np.any(z < min_depth):
         raise DepthError(f"depth {np.min(z):.3g} below minimum {min_depth:.3g}")
-    # libm's pow per element, as projection_jacobian's scalar z**2 takes it;
-    # an array's z**2 squares instead, which can differ in the last bit
+    # libm's pow per element, as a scalar z**2 takes it, so each block is the
+    # per-point formula to the bit; an array's z**2 squares instead, which
+    # can differ in the last bit
     z2 = np.float_power(z, 2)
     i = np.arange(z.size)
     M = np.zeros((z.size, 2, z.size, 3))

@@ -79,7 +79,7 @@ def _load_pose(path: str, dof: int):
     obj = _load_json(path)
     try:
         return pose_from_json(obj, dof)
-    except (KeyError, TypeError, ValueError) as e:
+    except InputError as e:
         raise InputError(f"{path}: bad pose: {e}") from e
 
 

@@ -43,7 +43,10 @@ class TrialConfig:
             raise InputError("noise std must be nonnegative")
         if not self.rigid_scale >= 0:
             raise InputError("rigid scale must be nonnegative")
-        lo, hi = self.magnitude_range
+        try:
+            lo, hi = self.magnitude_range
+        except (TypeError, ValueError) as e:
+            raise InputError(f"magnitude range must be a (min, max) pair: {e}") from e
         if not (0 < lo <= hi <= 5.0 * _DEG + 1e-12):
             raise InputError("magnitude range must satisfy 0 < min <= max <= 5 deg")
 
@@ -124,7 +127,7 @@ def support_metrics(omega_hat, omega_true):
     oh = np.abs(np.asarray(omega_hat, dtype=float)) > SUPPORT_EPSILON
     ot = np.abs(np.asarray(omega_true, dtype=float)) > SUPPORT_EPSILON
     if oh.shape != ot.shape:
-        raise ValueError("dimension mismatch")
+        raise InputError("dimension mismatch")
     tp = np.sum(oh & ot)
     tn = np.sum(~oh & ~ot)
     fp = np.sum(oh & ~ot)
@@ -213,7 +216,7 @@ def run_sweep(
     left out of ``trials``) and the solver's non-converged solves
     (``not_converged``).
     Before the first trial an InputError refuses trials < 1, an empty grid,
-    a cell TrialConfig refuses or above the DoF, and an occlude_landmark
+    no poses, a cell TrialConfig refuses or above the DoF, and an occlude_landmark
     that is not an int in [0, N).  A trial that cannot be sampled, assembled
     or solved (SamplingError, AssemblyError, SolverError) is recorded as
     {cell, s, delta, trial, error}; any other exception propagates.
@@ -222,6 +225,8 @@ def run_sweep(
         raise InputError("trials must be >= 1")
     if not grid:
         raise InputError("the grid has no cells")
+    if not poses:
+        raise InputError("no poses to sweep")
     cfgs = [TrialConfig(s, delta, magnitude_range, rigid_scale) for s, delta in grid]
     if max(s for s, _ in grid) > skel.dof:
         raise InputError(f"a support size exceeds {skel.dof} DoF")
@@ -272,7 +277,7 @@ def run_sweep(
 
 def write_results_csv(rows, path):
     if not rows:
-        raise ValueError("no rows to write")
+        raise InputError("no rows to write")
     fields = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)

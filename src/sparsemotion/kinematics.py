@@ -112,11 +112,11 @@ def _section(cfg: dict, key: str) -> list:
 def load_skeleton(config_text: str) -> Skeleton:
     """Parse a JSON skeleton config and expand multi-DoF joints.
 
-    Raises SkeletonError on malformed input: parse failure, cycles,
-    non-unit axes, duplicate ids, inverted bounds, missing keys, sections
-    that are not JSON arrays, entries that are not JSON objects, ids that
-    are not integers, number fields that are not numbers, or landmarks
-    referencing unknown joints.
+    Rotation axes are normalized to unit length.  Raises SkeletonError on
+    malformed input: parse failure, cycles, zero axes, duplicate ids,
+    inverted bounds, missing keys, sections that are not JSON arrays, entries
+    that are not JSON objects, ids that are not integers, number fields that
+    are not numbers, or landmarks referencing unknown joints.
     """
     try:
         cfg = json.loads(config_text)
@@ -246,7 +246,7 @@ def fk_chain(skel: Skeleton, camera_to_root: RigidTransform, thetas):
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != skel.dof:
-        raise ValueError(
+        raise InputError(
             f"pose has {thetas.shape[-1]} angles, skeleton has {skel.dof} DoF"
         )
     m, d = thetas.shape
@@ -325,5 +325,5 @@ def rigid_jacobian(points) -> np.ndarray:
 def clamp_angles(theta, skel: Skeleton) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (skel.dof,):
-        raise ValueError("angle vector dimension mismatch")
+        raise InputError("angle vector dimension mismatch")
     return np.clip(theta, skel.bounds_min, skel.bounds_max)

@@ -1,5 +1,5 @@
 """Minimal SE(3)/se(3) primitives: skew operators, rigid transforms and
-twist exponentials.
+the exponential of a twist 6-vector.
 
 Rotations are stored as 3x3 matrices.  All operations are pure functions on
 immutable values.
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_ROT_TOL = 1e-10
 _SMALL_ANGLE = 1e-8
 
 
@@ -34,7 +33,7 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    def is_valid(self, tol: float = _ROT_TOL) -> bool:
+    def is_valid(self, tol: float) -> bool:
         R = self.rotation
         return (
             np.max(np.abs(R.T @ R - np.eye(3))) <= tol
@@ -80,34 +79,17 @@ class Twist:
         return H
 
 
-def exp_twist(xi: Twist, theta: float) -> RigidTransform:
-    """Closed-form exponential of a twist through angle/parameter theta.
-
-    Rotational twists must have a unit angular part; a zero angular part is
-    treated as pure translation.
-    """
-    w = xi.angular
-    v = xi.linear
-    wn = np.linalg.norm(w)
-    if wn < _SMALL_ANGLE:
-        return RigidTransform(np.eye(3), v * theta)
-    K = skew(w)
-    s, c = np.sin(theta), np.cos(theta)
-    if abs(theta) < _SMALL_ANGLE:
-        # second-order Taylor keeps theta -> 0 smooth
-        R = np.eye(3) + theta * K + 0.5 * theta * theta * (K @ K)
-    else:
-        R = np.eye(3) + s * K + (1.0 - c) * (K @ K)
-    t = (np.eye(3) - R) @ np.cross(w, v) + np.outer(w, w) @ v * theta
-    return RigidTransform(R, t)
-
-
 def exp_twist_vector(rho) -> RigidTransform:
-    """Exponential of an arbitrary (non-unit) twist 6-vector (v, w)."""
+    """Exponential of an arbitrary (non-unit) twist 6-vector (v, w): the
+    closed form of the unit twist (v, w)/|w| through the angle |w|, or the
+    translation v when |w| is below _SMALL_ANGLE."""
     rho = np.asarray(rho, dtype=float)
     v, w = rho[:3], rho[3:]
     angle = np.linalg.norm(w)
     if angle < _SMALL_ANGLE:
         return RigidTransform(np.eye(3), v)
-    return exp_twist(Twist(w / angle, v / angle), angle)
-
+    w, v = w / angle, v / angle
+    K = skew(w)
+    R = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    t = (np.eye(3) - R) @ np.cross(w, v) + np.outer(w, w) @ v * angle
+    return RigidTransform(R, t)

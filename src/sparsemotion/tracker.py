@@ -266,11 +266,20 @@ def load_landmark_csv(text: str, n_landmarks: int) -> list[LandmarkFrame]:
 
 def pose_from_json(obj, dof: int) -> Pose:
     """Pose from {cameraToRoot: {rotation: 9 row-major, translation: [3]},
-    theta_deg: [d]}; an InputError when a count is wrong, a number is not
-    finite or the rotation is not one within _POSE_ROTATION_TOL."""
-    rot = np.asarray(obj["cameraToRoot"]["rotation"], dtype=float).reshape(3, 3)
-    trans = np.asarray(obj["cameraToRoot"]["translation"], dtype=float)
-    theta = np.radians(np.asarray(obj["theta_deg"], dtype=float))
+    theta_deg: [d]}; an InputError when a key is missing, an entry is not a
+    number, a count is wrong, a number is not finite or the rotation is not
+    one within _POSE_ROTATION_TOL."""
+    try:
+        rot = np.asarray(obj["cameraToRoot"]["rotation"], dtype=float)
+        trans = np.asarray(obj["cameraToRoot"]["translation"], dtype=float)
+        theta = np.radians(np.asarray(obj["theta_deg"], dtype=float))
+    except KeyError as e:
+        raise InputError(f"pose has no key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise InputError(f"malformed pose: {e}") from e
+    if rot.size != 9:
+        raise InputError(f"pose rotation has {rot.size} entries, expected 9")
+    rot = rot.reshape(3, 3)
     if theta.shape != (dof,):
         raise InputError(f"pose has {theta.size} angles, expected {dof}")
     if trans.shape != (3,):
@@ -293,8 +302,10 @@ def pose_to_json(pose: Pose) -> dict:
     }
 
 
-def frame_result_to_json(result: FrameResult) -> dict:
-    return {
+def frame_result_to_jsonl(result: FrameResult, theta_deg) -> str:
+    """One JSON line: the frame's solve outcome and the tracked angles
+    theta_deg (degrees) after it."""
+    return json.dumps({
         "frame": result.frame_index,
         "rho": result.rho.tolist(),
         "omega": result.omega.tolist(),
@@ -305,11 +316,5 @@ def frame_result_to_json(result: FrameResult) -> dict:
         "termination": result.termination,
         "reinit": result.reinit,
         "skipped": result.skipped,
-    }
-
-
-def frame_result_to_jsonl(result: FrameResult, theta_deg=None) -> str:
-    rec = frame_result_to_json(result)
-    if theta_deg is not None:
-        rec["theta_deg"] = list(theta_deg)
-    return json.dumps(rec)
+        "theta_deg": list(theta_deg),
+    })

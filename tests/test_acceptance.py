@@ -15,7 +15,6 @@ import pytest
 from sparsemotion.camera import (
     CameraModel,
     assemble_system,
-    projection_jacobian,
     project,
     stacked_projection_blocks,
     stacked_projection_kernel,
@@ -73,7 +72,7 @@ def test_criterion_01_jacobians_match_finite_differences(skel40, cam1145):
             worst_j = max(worst_j, float(np.max(np.abs(J[:, j] - fd))))
         _, _, pts = fk_arrays(skel40, pose)
         for p in pts:
-            Mp = projection_jacobian(p)
+            Mp = stacked_projection_blocks(p)
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h

@@ -11,7 +11,6 @@ from sparsemotion.camera import (
     RankDeficientError,
     assemble_system,
     project,
-    projection_jacobian,
     stacked_projection_blocks,
     stacked_projection_kernel,
 )
@@ -48,11 +47,13 @@ class TestCameraModel:
         ({"principal": [1.0, 2.0, 3.0]}, "principal must be 2 finite numbers"),
         ({"principal": [1.0, float("inf")]},
          "principal must be 2 finite numbers"),
+        ({"focal": float("inf")}, "focal must be positive and finite"),
+        ({"min_depth": float("inf")}, "min_depth must be positive and finite"),
     ])
     def test_rejects_bad_numbers(self, kwargs, message):
-        """A NaN focal or min_depth passed the old `<= 0` tests, and a
-        principal point of 3 numbers failed only when a pixel was first
-        converted."""
+        """A NaN focal or min_depth passed the old `<= 0` tests, an infinite
+        one passed `> 0`, and a principal point of 3 numbers failed only when
+        a pixel was first converted."""
         with pytest.raises(InputError, match=message):
             CameraModel(**{"focal": 1145.0, **kwargs})
 
@@ -83,8 +84,11 @@ class TestProjection:
 
 
 class TestProjectionJacobian:
+    """The 2x3 differential at one point: stacked_projection_blocks of a
+    single point."""
+
     def test_closed_form_entries(self):
-        Mp = projection_jacobian([1.0, 2.0, 4.0])
+        Mp = stacked_projection_blocks([1.0, 2.0, 4.0])
         np.testing.assert_allclose(
             Mp, [[0.25, 0.0, -1.0 / 16], [0.0, 0.25, -2.0 / 16]], atol=1e-15)
 
@@ -94,7 +98,7 @@ class TestProjectionJacobian:
         h = 1e-6
         for _ in range(50):
             p = rng.uniform([-2, -2, 0.5], [2, 2, 6])
-            Mp = projection_jacobian(p)
+            Mp = stacked_projection_blocks(p)
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
@@ -106,12 +110,12 @@ class TestProjectionJacobian:
         rng = np.random.default_rng(1)
         for _ in range(100):
             p = rng.uniform([-2, -2, 0.5], [2, 2, 6])
-            np.testing.assert_allclose(projection_jacobian(p) @ p, 0,
+            np.testing.assert_allclose(stacked_projection_blocks(p) @ p, 0,
                                        atol=1e-12)
 
     def test_depth_guard(self):
         with pytest.raises(DepthError):
-            projection_jacobian([0.0, 0.0, -1.0])
+            stacked_projection_blocks([0.0, 0.0, -1.0])
 
 
 class TestStackedBlocks:
@@ -122,7 +126,7 @@ class TestStackedBlocks:
         assert M.shape == (8, 12)
         for i in range(4):
             blk = M[2 * i : 2 * i + 2, 3 * i : 3 * i + 3]
-            np.testing.assert_array_equal(blk, projection_jacobian(pts[i]))
+            np.testing.assert_array_equal(blk, stacked_projection_blocks(pts[i]))
             off = M[2 * i : 2 * i + 2].copy()
             off[:, 3 * i : 3 * i + 3] = 0
             np.testing.assert_array_equal(off, 0)

@@ -119,6 +119,19 @@ def track_csv(row, *flags):
     return argv
 
 
+def track_camera(camera_json):
+    """argv for track over 3 frames rendered at the pose, with the camera
+    config written as the JSON text camera_json (JSON reads Infinity and
+    1e999 as infinite)."""
+    def argv(paths, tmp_path):
+        camera, landmarks = tmp_path / "camera.json", tmp_path / "landmarks.csv"
+        camera.write_text(camera_json)
+        landmarks.write_text(landmark_csv(paths, [paths["pose_obj"]] * 3))
+        return ["track", "--skeleton", paths["skel"], "--camera", str(camera),
+                "--init-pose", paths["pose"], "--landmarks", str(landmarks)]
+    return argv
+
+
 def nan_pose(paths, tmp_path) -> str:
     """Path of the pose with angle 3 NaN."""
     pose = json.loads(Path(paths["pose"]).read_text())
@@ -256,6 +269,13 @@ def unsamplable_toy8() -> str:
     pytest.param(track_csv("0,3,1.0,2.0,1", "--reinit-threshold", "nan"),
                  None, 1, "reinit threshold must be positive",
                  id="track-reinit-threshold-nan"),
+    pytest.param(track_camera('{"focal_px": Infinity}'), None, 1,
+                 "focal must be positive and finite", id="camera-focal-infinity"),
+    pytest.param(track_camera('{"focal_px": 1e999}'), None, 1,
+                 "focal must be positive and finite", id="camera-focal-1e999"),
+    pytest.param(track_camera('{"focal_px": 1145, "min_depth": Infinity}'),
+                 None, 1, "min_depth must be positive and finite",
+                 id="camera-min-depth-infinity"),
     pytest.param(lambda p, t: ["pksp-check", "--skeleton", p["skel"],
                                "--camera", p["cam"], "--pose",
                                nan_pose(p, t), "--support", "1"],

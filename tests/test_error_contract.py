@@ -1,16 +1,37 @@
-"""Every exception class the package defines is an InputError, which the
-CLI reports as exit 1, or one of the two resource errors it reports as
-exit 2, so a new error class cannot end a command in a traceback."""
+"""The package's error contract (errors.py): every exception class the
+package defines is an InputError, which the CLI reports as exit 1, or one of
+the two resource errors it reports as exit 2, so a new error class cannot
+end a command in a traceback; and the package raises no builtin exception
+class, so an error a caller can fix is never a bare ValueError."""
 
+import ast
+import builtins
 import importlib
 import inspect
+import os
 import pkgutil
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import sparsemotion
+from sparsemotion.camera import assemble_system
 from sparsemotion.errors import InputError
+from sparsemotion.experiments import (
+    TrialConfig,
+    run_sweep,
+    support_metrics,
+    write_results_csv,
+)
+from sparsemotion.kinematics import Pose, clamp_angles
 from sparsemotion.solvers import BudgetExceededError, SolverError
+from sparsemotion.tracker import pose_from_json, pose_to_json
 
 RESOURCE_ERRORS = (BudgetExceededError, SolverError)
+BUILTIN_ERRORS = {name for name, obj in vars(builtins).items()
+                  if inspect.isclass(obj) and issubclass(obj, BaseException)}
 
 
 def package_exceptions():
@@ -34,3 +55,70 @@ def test_every_package_error_has_an_exit_code():
              if not issubclass(cls, InputError) and cls not in RESOURCE_ERRORS]
     assert stray == []
     assert not any(issubclass(cls, InputError) for cls in RESOURCE_ERRORS)
+
+
+def builtin_raises(source: str):
+    """Line numbers of raise statements naming a builtin exception class,
+    raised as the class or as a call of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_each_builtin_raise():
+    source = "\n".join(
+        f"raise {exc}"
+        for exc in ("ValueError('x')", "InputError('x')", "KeyError",
+                    "e", "RuntimeError('x') from e", "", "errors.InputError()",
+                    "ZeroDivisionError"))
+    assert builtin_raises(source) == [1, 3, 5, 8]
+
+
+def test_package_raises_only_its_own_errors():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(sparsemotion.__file__).parent.glob("*.py"))
+        for line in builtin_raises(path.read_text())
+    ]
+    assert found == []
+
+
+def edited_pose(pose, edit):
+    obj = pose_to_json(pose)
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda skel, cam, pose: run_sweep(skel, [], cam, [(1, 0.0)], 1, 0),
+                 "no poses to sweep", id="run_sweep-no-poses"),
+    pytest.param(lambda skel, cam, pose: TrialConfig(1, 0.0, (0.01, 0.02, 0.03)),
+                 "magnitude range must be a (min, max) pair",
+                 id="TrialConfig-three-magnitudes"),
+    pytest.param(lambda skel, cam, pose: pose_from_json(edited_pose(
+                     pose, lambda o: o["cameraToRoot"]["rotation"].pop()), 40),
+                 "pose rotation has 8 entries, expected 9",
+                 id="pose_from_json-8-rotation-numbers"),
+    pytest.param(lambda skel, cam, pose: pose_from_json(edited_pose(
+                     pose, lambda o: o.pop("theta_deg")), 40),
+                 "pose has no key 'theta_deg'", id="pose_from_json-missing-key"),
+    pytest.param(lambda skel, cam, pose: assemble_system(
+                     skel, Pose(pose.camera_to_root, np.zeros(5)), cam),
+                 "pose has 5 angles, skeleton has 40 DoF",
+                 id="assemble_system-5-angles"),
+    pytest.param(lambda skel, cam, pose: clamp_angles(np.zeros(5), skel),
+                 "angle vector dimension mismatch", id="clamp_angles"),
+    pytest.param(lambda skel, cam, pose: support_metrics(np.zeros(3), np.zeros(4)),
+                 "dimension mismatch", id="support_metrics"),
+    pytest.param(lambda skel, cam, pose: write_results_csv([], os.devnull),
+                 "no rows to write", id="write_results_csv-no-rows"),
+])
+def test_library_refusals_are_input_errors(call, message, skel40, cam1145,
+                                            skel40_pose):
+    with pytest.raises(InputError, match=re.escape(message)):
+        call(skel40, cam1145, skel40_pose)

@@ -15,7 +15,7 @@ from sparsemotion.kinematics import (
     load_skeleton,
     rigid_jacobian,
 )
-from sparsemotion.liegroup import RigidTransform, exp_twist, Twist
+from sparsemotion.liegroup import RigidTransform, exp_twist_vector
 
 from conftest import in_bounds_pose, toy8_config
 
@@ -234,8 +234,7 @@ class TestForwardKinematics:
     def test_rotation_equivariance(self, skel40):
         rng = np.random.default_rng(1)
         theta = rng.uniform(skel40.bounds_min, skel40.bounds_max)
-        dT = exp_twist(Twist(angular=np.array([0.0, 1, 0]),
-                             linear=np.array([0.2, 0, 0.1])), 0.8)
+        dT = exp_twist_vector(0.8 * np.array([0.2, 0, 0.1, 0.0, 1, 0]))
         base = Pose(RigidTransform.identity(), theta)
         moved = Pose(dT, theta)
         _, _, p0 = fk_arrays(skel40, base)
@@ -255,8 +254,8 @@ class TestForwardKinematics:
             parent = pose.camera_to_root.matrix() if p == -1 else mats[p]
             off = np.eye(4)
             off[:3, 3] = skel40.offsets[j]
-            rot = exp_twist(Twist(angular=skel40.axes[j], linear=np.zeros(3)),
-                            theta[j]).matrix()
+            rot = exp_twist_vector(
+                np.concatenate([np.zeros(3), theta[j] * skel40.axes[j]])).matrix()
             mats[j] = parent @ off @ rot
         for i, (j, local) in enumerate(zip(skel40.lmk_joint, skel40.lmk_local)):
             hom = mats[j] @ np.append(local, 1.0)

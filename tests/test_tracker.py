@@ -15,7 +15,6 @@ from sparsemotion.tracker import (
     SequenceError,
     TrackOptions,
     differential_observation,
-    frame_result_to_json,
     frame_result_to_jsonl,
     load_landmark_csv,
     make_initial_state,
@@ -223,10 +222,11 @@ class TestStepFrame:
         flag_state, flag_result = step_frame(state, flagged, skel40, cam1145,
                                              TIGHT)
         assert not near_result.skipped
-        assert frame_result_to_json(near_result) == \
-            frame_result_to_json(flag_result)
         np.testing.assert_array_equal(near_state.pose.theta,
                                       flag_state.pose.theta)
+        theta_deg = np.degrees(near_state.pose.theta)
+        assert json.loads(frame_result_to_jsonl(near_result, theta_deg)) == \
+            json.loads(frame_result_to_jsonl(flag_result, theta_deg))
         np.testing.assert_array_equal(near_state.pose.camera_to_root.matrix(),
                                       flag_state.pose.camera_to_root.matrix())
 
@@ -423,7 +423,7 @@ class TestSerialization:
         for key, values in obj["cameraToRoot"].items():
             obj["cameraToRoot"][key] = np.round(values, 6).tolist()
         rotation = np.reshape(obj["cameraToRoot"]["rotation"], (3, 3))
-        assert not RigidTransform(rotation, np.zeros(3)).is_valid()
+        assert not RigidTransform(rotation, np.zeros(3)).is_valid(1e-10)
         back = pose_from_json(obj, 40)
         np.testing.assert_array_equal(back.camera_to_root.rotation, rotation)
 
@@ -435,15 +435,17 @@ class TestSerialization:
         frame = render_frame(
             skel40, Pose(skel40_pose.camera_to_root, skel40_pose.theta + omega),
             cam1145, 0)
-        _, solved = step_frame(state, frame, skel40, cam1145, TIGHT)
-        rec = json.loads(frame_result_to_jsonl(solved))
+        solved_state, solved = step_frame(state, frame, skel40, cam1145, TIGHT)
+        theta_deg = np.degrees(solved_state.pose.theta)
+        rec = json.loads(frame_result_to_jsonl(solved, theta_deg))
+        assert rec["theta_deg"] == theta_deg.tolist()
         assert rec["iterations"] == solved.iterations > 0
         assert rec["converged"] is True
         assert rec["termination"] == "converged"
 
         blind = LandmarkFrame(1, frame.uv, np.zeros(13, dtype=bool))
         _, skipped = step_frame(state, blind, skel40, cam1145, TIGHT)
-        rec = json.loads(frame_result_to_jsonl(skipped))
+        rec = json.loads(frame_result_to_jsonl(skipped, theta_deg))
         assert rec["skipped"] is True
         assert (rec["iterations"], rec["converged"], rec["termination"]) == (
             0, False, None)
