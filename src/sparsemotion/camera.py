@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_number
 from .kinematics import Pose, Skeleton, fk_arrays, jacobian_from_fk, rigid_jacobian
 
 RANK_TOL = 1e-10  # singular values at or below this share of the largest count as zero
@@ -37,10 +37,13 @@ class CameraModel:
     min_depth: float = 1e-3  # model length units
 
     def __post_init__(self):
-        object.__setattr__(self, "principal", np.asarray(self.principal, dtype=float))
-        if not 0 < self.focal < np.inf:
+        try:
+            object.__setattr__(self, "principal", np.asarray(self.principal, dtype=float))
+        except (TypeError, ValueError) as e:
+            raise InputError(f"principal must be 2 finite numbers: {e}") from e
+        if not 0 < check_number(self.focal, "focal") < np.inf:
             raise InputError("focal must be positive and finite")
-        if not 0 < self.min_depth < np.inf:
+        if not 0 < check_number(self.min_depth, "min_depth") < np.inf:
             raise InputError("min_depth must be positive and finite")
         if self.principal.shape != (2,) or not np.all(np.isfinite(self.principal)):
             raise InputError("principal must be 2 finite numbers")
@@ -119,7 +122,7 @@ def project(p, cam: CameraModel) -> np.ndarray:
     return p[..., :2] / z[..., None]
 
 
-def stacked_projection_blocks(points, min_depth: float = 1e-3) -> np.ndarray:
+def stacked_projection_blocks(points, min_depth: float = CameraModel.min_depth) -> np.ndarray:
     """Block-diagonal 2N x 3N stacking of the projection differentials,
     block i = [[1/z, 0, -x/z^2], [0, 1/z, -y/z^2]] at point i = (x, y, z)."""
     x, y, z = np.atleast_2d(np.asarray(points, dtype=float)).T
@@ -136,7 +139,7 @@ def stacked_projection_blocks(points, min_depth: float = 1e-3) -> np.ndarray:
     return M.reshape(2 * z.size, 3 * z.size)
 
 
-def stacked_projection_kernel(points, min_depth: float = 1e-3) -> np.ndarray:
+def stacked_projection_kernel(points, min_depth: float = CameraModel.min_depth) -> np.ndarray:
     """3N x N matrix whose columns (e_i kron p_i) span the null space of
     the stacked projection differential: sliding points along sightlines."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

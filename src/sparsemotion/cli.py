@@ -6,7 +6,8 @@ fails, so scripts can branch on certification verdicts.  Exit 1 is an
 errors.InputError, raised where the package checks what it is given, and
 exit 2 a solvers.BudgetExceededError or SolverError; any other exception is
 a fault of the program and ends in a traceback.  Angles are degrees at the
-CLI boundary, radians internally.
+CLI boundary, radians internally.  Every input file is read by _load, and
+every flag default the library decides is read from the library.
 
 pksp-check proves every verdict by exact sign-pattern LPs.  A --support may
 hold at most 12 distinct DoFs, and --budget caps the comb(d, s) * 2^s
@@ -28,13 +29,13 @@ import numpy as np
 
 from .camera import CameraModel, assemble_system
 from .errors import InputError
-from .experiments import run_sweep, sample_pose, write_results_csv, write_trials_jsonl
-from .kinematics import SkeletonError, load_skeleton
-from .pksp import check_pksp, check_pksp_order
+from .experiments import TrialConfig, run_sweep, sample_pose, write_results_csv, write_trials_jsonl
+from .kinematics import load_skeleton
+from .pksp import ORDER_BUDGET, check_pksp, check_pksp_order
 from .solvers import SUPPORT_EPSILON, BudgetExceededError, SolveOptions, SolverError, Support
 from .solvers import extract_support, solve_l0_oracle, solve_l2, solve_rf
 from .tracker import TrackOptions, frame_result_to_jsonl, iter_track, load_landmark_csv
-from .tracker import SequenceError, pose_from_json
+from .tracker import pose_from_json
 
 SCHEMA_VERSION = 1
 
@@ -44,43 +45,78 @@ EXIT_RESOURCE = 2
 EXIT_PROPERTY = 3
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse, what: str = ""):
+    """parse(text) of the file at path, the one place the CLI reads an input
+    file.  A file that cannot be read, text that is not JSON, or an
+    InputError of parse becomes an InputError naming the file (and what)."""
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
-
-
-def _load_json(path: str):
     try:
-        return json.loads(_read(path))
+        return parse(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e}") from e
+    except InputError as e:
+        raise InputError(f"{path}: {what}: {e}" if what else f"{path}: {e}") from e
 
 
-def _load_skeleton(path: str):
-    try:
-        return load_skeleton(_read(path))
-    except SkeletonError as e:
-        raise InputError(f"{path}: {e}") from e
-
-
-def _load_camera(path: str) -> CameraModel:
-    obj = _load_json(path)
+def _camera(text: str) -> CameraModel:
+    obj = json.loads(text)
     keys = (("principal_px", "principal"), ("min_depth", "min_depth"))
     try:
-        return CameraModel(obj["focal_px"], **{arg: obj[k] for k, arg in keys if k in obj})
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{path}: bad camera config: {e}") from e
+        focal, kwargs = obj["focal_px"], {arg: obj[k] for k, arg in keys if k in obj}
+    except (KeyError, TypeError) as e:
+        raise InputError(str(e)) from e
+    return CameraModel(focal, **kwargs)
 
 
-def _load_pose(path: str, dof: int):
-    obj = _load_json(path)
+def _pose(text: str, dof: int):
+    return pose_from_json(json.loads(text), dof)
+
+
+def _observation(text: str, n_landmarks: int):
+    """(y_normalized, visible flags) of an observation; all visible unless
+    flagged."""
+    obj = json.loads(text)
     try:
-        return pose_from_json(obj, dof)
-    except InputError as e:
-        raise InputError(f"{path}: bad pose: {e}") from e
+        return (np.asarray(obj["y_normalized"], dtype=float),
+                np.asarray(obj.get("visible", np.ones(n_landmarks, dtype=bool)), dtype=bool))
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(str(e)) from e
+
+
+def _sweep(text: str):
+    """(pose count, run_sweep's keyword arguments) of a sweep config; a key
+    left out takes TrialConfig's default."""
+    cfg = json.loads(text)
+    try:
+        sizes = cfg["grid"]["support_sizes"]
+        deltas = cfg["grid"]["noise_std_px"]
+        trials = int(cfg["trials"])
+        seed = int(cfg["seed"])
+        n_poses = int(cfg.get("poses", 8))
+        mag = cfg.get("magnitude_range_deg", [math.degrees(r) for r in TrialConfig.magnitude_range])
+        rigid_scale = float(cfg.get("rigid_scale", TrialConfig.rigid_scale))
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"bad sweep config: {e}") from e
+    for key, ok, want in (
+        ("grid.support_sizes", isinstance(sizes, list), "a list"),
+        ("grid.noise_std_px", isinstance(deltas, list), "a list"),
+        ("poses", n_poses >= 1, "at least 1"),
+        ("magnitude_range_deg", isinstance(mag, list) and len(mag) == 2, "a [min, max] pair"),
+    ):
+        if not ok:
+            raise InputError(f"{key} must be {want}")
+    try:
+        grid = [(int(s), float(dl)) for s in sizes for dl in deltas]
+        magnitude_range = (math.radians(float(mag[0])), math.radians(float(mag[1])))
+    except (TypeError, ValueError) as e:
+        raise InputError(f"bad sweep config: {e}") from e
+    return n_poses, dict(grid=grid, trials=trials, seed=seed,
+                         occlude_landmark=cfg.get("occlude_landmark"),
+                         magnitude_range=magnitude_range, rigid_scale=rigid_scale)
 
 
 def _emit(obj):
@@ -88,17 +124,11 @@ def _emit(obj):
 
 
 def cmd_solve_frame(args) -> int:
-    skel = _load_skeleton(args.skeleton)
-    cam = _load_camera(args.camera)
-    pose = _load_pose(args.pose, skel.dof)
-    obs_obj = _load_json(args.observation)
-    try:
-        y = np.asarray(obs_obj["y_normalized"], dtype=float)
-        visible = np.asarray(
-            obs_obj.get("visible", np.ones(skel.n_landmarks, dtype=bool)), dtype=bool
-        )
-    except (KeyError, ValueError) as e:
-        raise InputError(f"{args.observation}: bad observation: {e}") from e
+    skel = _load(args.skeleton, load_skeleton)
+    cam = _load(args.camera, _camera, "bad camera config")
+    pose = _load(args.pose, lambda text: _pose(text, skel.dof), "bad pose")
+    y, visible = _load(args.observation, lambda text: _observation(text, skel.n_landmarks),
+                       "bad observation")
     if y.shape != (2 * int(np.sum(visible)),):
         raise InputError("observation length does not match visible landmark count")
     sys_m = assemble_system(skel, pose, cam, visible)
@@ -115,14 +145,7 @@ def cmd_solve_frame(args) -> int:
     code = EXIT_OK
     if args.solver == "rf":
         motion, stats = solve_rf(sys_m, y, opts)
-        stats_obj = {
-            "iterations": stats.iterations,
-            "primal_residual": stats.primal_residual,
-            "dual_residual": stats.dual_residual,
-            "objective": stats.objective,
-            "converged": stats.converged,
-            "termination": stats.termination,
-        }
+        stats_obj = {k: v for k, v in vars(stats).items() if k != "dual_vector"}
         if not stats.converged:
             code = EXIT_RESOURCE
     elif args.solver == "l2":
@@ -145,13 +168,13 @@ def cmd_solve_frame(args) -> int:
 
 
 def cmd_pksp_check(args) -> int:
-    skel = _load_skeleton(args.skeleton)
-    cam = _load_camera(args.camera)
-    pose = _load_pose(args.pose, skel.dof)
+    skel = _load(args.skeleton, load_skeleton)
+    cam = _load(args.camera, _camera, "bad camera config")
+    text, pose = _load(args.pose, lambda text: (text, _pose(text, skel.dof)), "bad pose")
     if (args.support is None) == (args.order is None):
         raise InputError("specify exactly one of --support or --order")
     Z = assemble_system(skel, pose, cam).reduction.null_space
-    pose_hash = hashlib.sha256(_read(args.pose).encode()).hexdigest()[:16]
+    pose_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
     cert = {"schema_version": SCHEMA_VERSION, "pose_hash": pose_hash}
     if args.support is not None:
         try:
@@ -173,45 +196,12 @@ def cmd_pksp_check(args) -> int:
 
 
 def cmd_synth_bench(args) -> int:
-    skel = _load_skeleton(args.skeleton)
-    cam = _load_camera(args.camera)
-    cfg = _load_json(args.sweep_config)
-    try:
-        sizes = cfg["grid"]["support_sizes"]
-        deltas = cfg["grid"]["noise_std_px"]
-        trials = int(cfg["trials"])
-        seed = int(cfg["seed"])
-        n_poses = int(cfg.get("poses", 8))
-        mag = cfg.get("magnitude_range_deg", [0.5, 5.0])
-        rigid_scale = float(cfg.get("rigid_scale", 1e-3))
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{args.sweep_config}: bad sweep config: {e}") from e
-    for key, ok, want in (
-        ("grid.support_sizes", isinstance(sizes, list), "a list"),
-        ("grid.noise_std_px", isinstance(deltas, list), "a list"),
-        ("poses", n_poses >= 1, "at least 1"),
-        ("magnitude_range_deg", isinstance(mag, list) and len(mag) == 2, "a [min, max] pair"),
-    ):
-        if not ok:
-            raise InputError(f"{args.sweep_config}: {key} must be {want}")
-    try:
-        grid = [(int(s), float(dl)) for s in sizes for dl in deltas]
-        magnitude_range = (math.radians(float(mag[0])), math.radians(float(mag[1])))
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{args.sweep_config}: bad sweep config: {e}") from e
-    rng = np.random.default_rng(seed)
+    skel = _load(args.skeleton, load_skeleton)
+    cam = _load(args.camera, _camera, "bad camera config")
+    n_poses, sweep = _load(args.sweep_config, _sweep)
+    rng = np.random.default_rng(sweep["seed"])
     poses = [sample_pose(skel, rng) for _ in range(n_poses)]
-    rows, records = run_sweep(
-        skel,
-        poses,
-        cam,
-        grid,
-        trials,
-        seed,
-        occlude_landmark=cfg.get("occlude_landmark"),
-        magnitude_range=magnitude_range,
-        rigid_scale=rigid_scale,
-    )
+    rows, records = run_sweep(skel, poses, cam, **sweep)
     try:
         os.makedirs(args.out, exist_ok=True)
         write_results_csv(rows, os.path.join(args.out, "results.csv"))
@@ -223,13 +213,10 @@ def cmd_synth_bench(args) -> int:
 
 
 def cmd_track(args) -> int:
-    skel = _load_skeleton(args.skeleton)
-    cam = _load_camera(args.camera)
-    pose = _load_pose(args.init_pose, skel.dof)
-    try:
-        frames = load_landmark_csv(_read(args.landmarks), skel.n_landmarks)
-    except SequenceError as e:
-        raise InputError(f"{args.landmarks}: {e}") from e
+    skel = _load(args.skeleton, load_skeleton)
+    cam = _load(args.camera, _camera, "bad camera config")
+    pose = _load(args.init_pose, lambda text: _pose(text, skel.dof), "bad pose")
+    frames = _load(args.landmarks, lambda text: load_landmark_csv(text, skel.n_landmarks))
     opts = TrackOptions(reinit_threshold_px=args.reinit_threshold)
     try:
         out = open(args.out, "w") if args.out else sys.stdout
@@ -261,7 +248,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_validate_skeleton(args) -> int:
-    skel = _load_skeleton(args.skeleton)
+    skel = _load(args.skeleton, load_skeleton)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -278,53 +265,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sparsemotion")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sf = sub.add_parser("solve-frame", help="solve one differential observation")
-    sf.add_argument("--skeleton", required=True)
-    sf.add_argument("--camera", required=True)
-    sf.add_argument("--pose", required=True)
-    sf.add_argument("--observation", required=True)
+    def command(name, func, help, *required):
+        cmd = sub.add_parser(name, help=help)
+        for flag in required:
+            cmd.add_argument(flag, required=True)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    sf = command("solve-frame", cmd_solve_frame, "solve one differential observation",
+                 "--skeleton", "--camera", "--pose", "--observation")
     sf.add_argument("--solver", choices=("rf", "l2", "l0"), default="rf")
     sf.add_argument("--box", choices=("on", "off"), default="off")
-    sf.add_argument("--max-iter", type=int, default=20000)
-    sf.add_argument("--tol", type=float, default=1e-9)
-    sf.add_argument("--omega-max-deg", type=float, default=5.0)
+    sf.add_argument("--max-iter", type=int, default=SolveOptions.max_iter)
+    sf.add_argument("--tol", type=float, default=SolveOptions.primal_tol)
+    sf.add_argument("--omega-max-deg", type=float, default=math.degrees(SolveOptions.omega_max))
     sf.add_argument("--epsilon", type=float, default=SUPPORT_EPSILON)
     sf.add_argument("--l0-max-support", type=int, default=3)
-    sf.set_defaults(func=cmd_solve_frame)
 
-    pc = sub.add_parser("pksp-check", help="certify exact recovery for a support or order")
-    pc.add_argument("--skeleton", required=True)
-    pc.add_argument("--camera", required=True)
-    pc.add_argument("--pose", required=True)
+    pc = command("pksp-check", cmd_pksp_check, "certify exact recovery for a support or order",
+                 "--skeleton", "--camera", "--pose")
     pc.add_argument("--support", help="comma-separated DoF indices")
     pc.add_argument("--order", type=int)
-    pc.add_argument(
-        "--budget",
-        type=int,
-        default=2_000_000,
-        help="--order only: refuse when comb(d, order) * 2^order exceeds this",
-    )
-    pc.set_defaults(func=cmd_pksp_check)
+    pc.add_argument("--budget", type=int, default=ORDER_BUDGET,
+                    help="--order only: refuse when comb(d, order) * 2^order exceeds this")
 
-    sb = sub.add_parser("synth-bench", help="synthetic sweep over support size and noise")
-    sb.add_argument("--skeleton", required=True)
-    sb.add_argument("--camera", required=True)
-    sb.add_argument("--sweep-config", required=True)
-    sb.add_argument("--out", required=True)
-    sb.set_defaults(func=cmd_synth_bench)
+    command("synth-bench", cmd_synth_bench, "synthetic sweep over support size and noise",
+            "--skeleton", "--camera", "--sweep-config", "--out")
 
-    tr = sub.add_parser("track", help="track a landmark sequence")
-    tr.add_argument("--skeleton", required=True)
-    tr.add_argument("--camera", required=True)
-    tr.add_argument("--init-pose", required=True)
-    tr.add_argument("--landmarks", required=True)
-    tr.add_argument("--reinit-threshold", type=float, default=50.0)
+    tr = command("track", cmd_track, "track a landmark sequence",
+                 "--skeleton", "--camera", "--init-pose", "--landmarks")
+    tr.add_argument("--reinit-threshold", type=float, default=TrackOptions.reinit_threshold_px)
     tr.add_argument("--out")
-    tr.set_defaults(func=cmd_track)
 
-    vs = sub.add_parser("validate-skeleton", help="parse and summarize a skeleton config")
-    vs.add_argument("--skeleton", required=True)
-    vs.set_defaults(func=cmd_validate_skeleton)
+    command("validate-skeleton", cmd_validate_skeleton, "parse and summarize a skeleton config",
+            "--skeleton")
     return p
 
 

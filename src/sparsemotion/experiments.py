@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import AssemblyError, CameraModel, SystemMatrices, assemble_system
-from .errors import InputError
+from .errors import InputError, check_number
 from .kinematics import Pose, Skeleton, fk_arrays, fk_chain
 from .liegroup import RigidTransform
 from .solvers import SUPPORT_EPSILON, DifferentialMotion, SolveOptions, SolverError
@@ -22,7 +22,7 @@ from .solvers import solve_l2, solve_rf
 _DEG = math.pi / 180.0
 # box on: noisy equality solves are only meaningful with the +-5 deg clamp on
 # differential angles
-_TRIAL_SOLVE = SolveOptions(max_iter=20000, primal_tol=1e-10, dual_tol=1e-10, box_enabled=True)
+_TRIAL_SOLVE = SolveOptions(primal_tol=1e-10, dual_tol=1e-10, box_enabled=True)
 
 
 class SamplingError(InputError):
@@ -33,21 +33,23 @@ class SamplingError(InputError):
 class TrialConfig:
     support_size: int
     noise_std_px: float
-    magnitude_range: tuple[float, float] = (0.5 * _DEG, 5.0 * _DEG)  # rad
+    magnitude_range: tuple[float, float] = (0.5 * _DEG, _TRIAL_SOLVE.omega_max)  # rad
     rigid_scale: float = 1e-3
 
     def __post_init__(self):
-        if self.support_size < 0:
+        if check_number(self.support_size, "support size", integer=True) < 0:
             raise InputError("support size must be nonnegative")
-        if not self.noise_std_px >= 0:
+        if not check_number(self.noise_std_px, "noise std") >= 0:
             raise InputError("noise std must be nonnegative")
-        if not self.rigid_scale >= 0:
+        if not check_number(self.rigid_scale, "rigid scale") >= 0:
             raise InputError("rigid scale must be nonnegative")
         try:
             lo, hi = self.magnitude_range
         except (TypeError, ValueError) as e:
             raise InputError(f"magnitude range must be a (min, max) pair: {e}") from e
-        if not (0 < lo <= hi <= 5.0 * _DEG + 1e-12):
+        check_number(lo, "magnitude range min")
+        check_number(hi, "magnitude range max")
+        if not (0 < lo <= hi <= _TRIAL_SOLVE.omega_max + 1e-12):
             raise InputError("magnitude range must satisfy 0 < min <= max <= 5 deg")
 
 
@@ -203,8 +205,8 @@ def run_sweep(
     trials: int,
     seed: int,
     occlude_landmark: int | None = None,
-    magnitude_range: tuple[float, float] = (0.5 * _DEG, 5.0 * _DEG),
-    rigid_scale: float = 1e-3,
+    magnitude_range: tuple[float, float] = TrialConfig.magnitude_range,
+    rigid_scale: float = TrialConfig.rigid_scale,
 ):
     """Grid sweep over (support size, noise std) cells, trials >= 1 each.
 

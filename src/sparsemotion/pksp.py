@@ -35,6 +35,7 @@ _AMBIGUITY_TOL = 1e-9  # build_ambiguous_observation's membership and inequality
 # margin found by this much.  It must sit far above the error of an LP
 # optimum; a larger slack only checks more supports.
 _ORDER_SLACK = 1e-6
+ORDER_BUDGET = 2_000_000  # check_pksp_order's default cap on comb(d, s) * 2^s
 
 
 class InvalidCounterexampleError(InputError):
@@ -65,9 +66,13 @@ def ambiguity_nullspace(A, B) -> np.ndarray:
     return reduce_system(A, B).null_space
 
 
-def _support_indices(F: Support | tuple) -> np.ndarray:
-    """Sorted distinct indices of a Support or of a tuple of DoF indices."""
-    return np.asarray((F if isinstance(F, Support) else Support(F)).indices, dtype=int)
+def _support_indices(F: Support | tuple, d: int) -> np.ndarray:
+    """Sorted distinct indices of a Support or of a tuple of DoF indices,
+    each checked to lie in 0..d-1."""
+    idx = np.asarray((F if isinstance(F, Support) else Support(F)).indices, dtype=int)
+    if idx.size and (idx[0] < 0 or idx[-1] >= d):
+        raise InputError(f"support indices out of range 0..{d - 1}")
+    return idx
 
 
 def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
@@ -89,9 +94,7 @@ def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
     last f + 1 rows, the ones that depend on the signs.
     """
     d, k = Z.shape
-    on_idx = _support_indices(F)
-    if on_idx.size and (on_idx.min() < 0 or on_idx.max() >= d):
-        raise InputError(f"support indices out of range 0..{d - 1}")
+    on_idx = _support_indices(F, d)
     if k == 0:
         return PkspVerdict(True, 1.0, None)
     f = on_idx.size
@@ -133,7 +136,7 @@ def check_pksp(Z: np.ndarray, F: Support | tuple) -> PkspVerdict:
     return PkspVerdict(holds, float(-worst), counter)
 
 
-def check_pksp_order(Z: np.ndarray, s: int, budget: int = 2_000_000):
+def check_pksp_order(Z: np.ndarray, s: int, budget: int = ORDER_BUDGET):
     """Decide the property for every support of size s, 0 <= s <= d.
 
     Z is the d x k ambiguity basis, as for check_pksp.  Returns (verdict,
@@ -202,11 +205,11 @@ def build_ambiguous_observation(
     ||x||_1 >= ||xbar||_1.
     """
     v = np.asarray(counterexample, dtype=float)
-    on_idx = _support_indices(F)
+    Z = sys.reduction.null_space
+    on_idx = _support_indices(F, Z.shape[0])
     nrm = np.sum(np.abs(v))
     if nrm == 0.0:
         raise InvalidCounterexampleError("counterexample is zero")
-    Z = sys.reduction.null_space
     resid = v - Z @ (Z.T @ v)
     if np.linalg.norm(resid) > _AMBIGUITY_TOL * max(np.linalg.norm(v), 1.0) * 1e3:
         raise InvalidCounterexampleError("vector is not in the ambiguity subspace")

@@ -29,9 +29,7 @@ import numpy as np
 from scipy.optimize._highspy import _core as highs
 
 from .camera import AssemblyError, SystemMatrices
-from .errors import InputError
-
-_DEG5 = math.radians(5.0)
+from .errors import InputError, check_number
 
 # the HiGHS model statuses that end an LP with a termination
 _TERMINATION = {
@@ -69,18 +67,19 @@ class DifferentialMotion:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    max_iter: int = 2000
+    max_iter: int = 20000  # simplex iterations per LP
     primal_tol: float = 1e-9
     dual_tol: float = 1e-9
-    omega_max: float = _DEG5  # rad, box half-width
+    omega_max: float = math.radians(5.0)  # rad, box half-width
     box_enabled: bool = False
 
     def __post_init__(self):
-        if not self.max_iter >= 1:
+        if not check_number(self.max_iter, "max_iter", integer=True) >= 1:
             raise InputError("max_iter must be >= 1")
-        if not (self.primal_tol > 0 and self.dual_tol > 0):
+        if not (check_number(self.primal_tol, "primal_tol") > 0
+                and check_number(self.dual_tol, "dual_tol") > 0):
             raise InputError("tolerances must be positive")
-        if not self.omega_max > 0:
+        if not check_number(self.omega_max, "omega_max") > 0:
             raise InputError("omega_max must be positive")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import AssemblyError, CameraModel, assemble_system, in_view, project
-from .errors import InputError
+from .errors import InputError, check_number
 from .kinematics import Pose, Skeleton, clamp_angles, fk_arrays
 from .liegroup import RigidTransform, exp_twist_vector
 from .solvers import SUPPORT_EPSILON, SolveOptions, Support, extract_support, solve_rf
@@ -40,11 +40,12 @@ class LandmarkFrame:
 
 @dataclass(frozen=True)
 class TrackOptions:
-    solve: SolveOptions = SolveOptions(max_iter=5000, box_enabled=True)
+    solve: SolveOptions = SolveOptions(box_enabled=True)
     reinit_threshold_px: float = 50.0
 
     def __post_init__(self):
-        if not self.reinit_threshold_px > 0:  # NaN would never flag a frame
+        # NaN would never flag a frame
+        if not check_number(self.reinit_threshold_px, "reinit threshold") > 0:
             raise InputError("reinit threshold must be positive")
 
 

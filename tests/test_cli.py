@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsemotion import solvers
+from sparsemotion import cli, solvers
 from sparsemotion.camera import CameraModel, assemble_system
-from sparsemotion.cli import run
-from sparsemotion.experiments import sample_pose
+from sparsemotion.cli import build_parser, run
+from sparsemotion.experiments import TrialConfig, run_sweep, sample_pose
 from sparsemotion.kinematics import Pose, default_skeleton, fk_arrays
 from sparsemotion.liegroup import RigidTransform
+from sparsemotion.pksp import ORDER_BUDGET, check_pksp_order
+from sparsemotion.solvers import SolveOptions
 from sparsemotion.tracker import (
     TrackOptions,
     load_landmark_csv,
@@ -104,6 +108,15 @@ def nan_observation(paths, tmp_path) -> str:
     path = tmp_path / "nan_obs.json"
     path.write_text(json.dumps(obs))
     return str(path)
+
+
+def observation(text):
+    """argv for solve-frame on an observation file holding text."""
+    def argv(paths, tmp_path):
+        path = tmp_path / "obs.json"
+        path.write_text(text)
+        return solve_args({**paths, "obs": str(path)})
+    return argv
 
 
 def track_csv(row, *flags):
@@ -257,6 +270,12 @@ def unsamplable_toy8() -> str:
     pytest.param(lambda p, t: ["solve-frame", *base_args(p), "--observation",
                                nan_observation(p, t)],
                  None, 1, "observation must be finite", id="observation-nan"),
+    pytest.param(observation("[1, 2]"), None, 1,
+                 "obs.json: bad observation: list indices must be integers",
+                 id="observation-array"),
+    pytest.param(observation('{"y_normalized": {"a": 1}}'), None, 1,
+                 "obs.json: bad observation: float() argument must be",
+                 id="observation-values-object"),
     pytest.param(track_csv("0,3,nan,1.0,1"), None, 1,
                  "frame 0 landmark 3: u, v must be finite", id="track-csv-nan"),
     pytest.param(track_csv("0,3,1.0,inf,1"), None, 1,
@@ -327,6 +346,66 @@ def test_failing_exit(argv, lp_fault, code, message, paths, tmp_path, capsys,
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+# the command and the flag that reads each JSON input kind
+JSON_INPUTS = {
+    "skeleton": ("solve-frame", "--skeleton"),
+    "camera": ("solve-frame", "--camera"),
+    "pose": ("solve-frame", "--pose"),
+    "observation": ("solve-frame", "--observation"),
+    "sweep-config": ("synth-bench", "--sweep-config"),
+}
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"text"'], ids=["array", "string"])
+@pytest.mark.parametrize("kind", JSON_INPUTS)
+def test_wrong_shaped_json_input(kind, text, paths, tmp_path, capsys):
+    """A JSON input that parses but is not an object exits 1 with an error
+    that names the file, whichever input it is."""
+    command, flag = JSON_INPUTS[kind]
+    argv = solve_args(paths) if command == "solve-frame" else synth_bench()(paths, tmp_path)
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(text)
+    argv[argv.index(flag) + 1] = str(bad)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err
+
+
+def test_flag_defaults_are_the_library_defaults(paths, tmp_path, capsys,
+                                                monkeypatch):
+    """Every default the library decides reaches the CLI unchanged: the
+    solve options, the order budget, the reinit threshold, and a sweep
+    config's magnitude range and rigid scale."""
+    parser = build_parser()
+    sf = parser.parse_args(solve_args(paths))
+    opts = SolveOptions()
+    assert sf.max_iter == opts.max_iter
+    assert sf.tol == opts.primal_tol == opts.dual_tol
+    assert math.radians(sf.omega_max_deg) == opts.omega_max
+    pc = parser.parse_args(["pksp-check", *base_args(paths)])
+    assert pc.budget == ORDER_BUDGET
+    assert inspect.signature(check_pksp_order).parameters["budget"].default == ORDER_BUDGET
+    tr = parser.parse_args(["track", "--skeleton", "s", "--camera", "c",
+                            "--init-pose", "p", "--landmarks", "l"])
+    assert tr.reinit_threshold == TrackOptions().reinit_threshold_px
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sweep", spy)
+    assert run(synth_bench()(paths, tmp_path)) == 0
+    capsys.readouterr()
+    cfg = TrialConfig(1, 0.0)
+    assert seen["magnitude_range"] == cfg.magnitude_range
+    assert seen["rigid_scale"] == cfg.rigid_scale
+    sweep_defaults = inspect.signature(run_sweep).parameters
+    assert sweep_defaults["magnitude_range"].default == cfg.magnitude_range
+    assert sweep_defaults["rigid_scale"].default == cfg.rigid_scale
 
 
 @pytest.mark.parametrize("argv", [

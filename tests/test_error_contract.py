@@ -6,6 +6,7 @@ class, so an error a caller can fix is never a bare ValueError."""
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import inspect
 import os
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import sparsemotion
-from sparsemotion.camera import assemble_system
+from sparsemotion.camera import CameraModel, assemble_system
 from sparsemotion.errors import InputError
 from sparsemotion.experiments import (
     TrialConfig,
@@ -26,8 +27,9 @@ from sparsemotion.experiments import (
     write_results_csv,
 )
 from sparsemotion.kinematics import Pose, clamp_angles
-from sparsemotion.solvers import BudgetExceededError, SolverError
-from sparsemotion.tracker import pose_from_json, pose_to_json
+from sparsemotion.pksp import build_ambiguous_observation
+from sparsemotion.solvers import BudgetExceededError, SolveOptions, SolverError
+from sparsemotion.tracker import TrackOptions, pose_from_json, pose_to_json
 
 RESOURCE_ERRORS = (BudgetExceededError, SolverError)
 BUILTIN_ERRORS = {name for name, obj in vars(builtins).items()
@@ -117,8 +119,68 @@ def edited_pose(pose, edit):
                  "dimension mismatch", id="support_metrics"),
     pytest.param(lambda skel, cam, pose: write_results_csv([], os.devnull),
                  "no rows to write", id="write_results_csv-no-rows"),
+    pytest.param(lambda skel, cam, pose: CameraModel("1145"),
+                 "focal '1145' is not a number", id="CameraModel-focal-string"),
+    pytest.param(lambda skel, cam, pose: CameraModel(True),
+                 "focal True is not a number", id="CameraModel-focal-bool"),
+    pytest.param(lambda skel, cam, pose: CameraModel(1145.0, min_depth=None),
+                 "min_depth None is not a number", id="CameraModel-min-depth-none"),
+    pytest.param(lambda skel, cam, pose: CameraModel(1145.0, principal="ab"),
+                 "principal must be 2 finite numbers", id="CameraModel-principal-string"),
+    pytest.param(lambda skel, cam, pose: SolveOptions(max_iter="5"),
+                 "max_iter '5' is not an integer", id="SolveOptions-max-iter-string"),
+    pytest.param(lambda skel, cam, pose: SolveOptions(omega_max="1"),
+                 "omega_max '1' is not a number", id="SolveOptions-omega-max-string"),
+    pytest.param(lambda skel, cam, pose: TrackOptions(reinit_threshold_px="50"),
+                 "reinit threshold '50' is not a number",
+                 id="TrackOptions-threshold-string"),
+    pytest.param(lambda skel, cam, pose: TrialConfig("1", 0.0),
+                 "support size '1' is not an integer", id="TrialConfig-size-string"),
+    pytest.param(lambda skel, cam, pose: TrialConfig(1.5, 0.0),
+                 "support size 1.5 is not an integer", id="TrialConfig-size-float"),
+    pytest.param(lambda skel, cam, pose: TrialConfig(1, "0.5"),
+                 "noise std '0.5' is not a number", id="TrialConfig-noise-string"),
+    pytest.param(lambda skel, cam, pose: TrialConfig(1, 0.0, ("a", "b")),
+                 "magnitude range min 'a' is not a number",
+                 id="TrialConfig-magnitudes-strings"),
+    pytest.param(lambda skel, cam, pose: build_ambiguous_observation(
+                     assemble_system(skel, pose, cam), np.ones(40), (-1, 0, 1)),
+                 "support indices out of range 0..39",
+                 id="build_ambiguous_observation-negative-index"),
+    pytest.param(lambda skel, cam, pose: build_ambiguous_observation(
+                     assemble_system(skel, pose, cam), np.ones(40), (40, 0, 1)),
+                 "support indices out of range 0..39",
+                 id="build_ambiguous_observation-index-past-dof"),
 ])
 def test_library_refusals_are_input_errors(call, message, skel40, cam1145,
                                             skel40_pose):
     with pytest.raises(InputError, match=re.escape(message)):
         call(skel40, cam1145, skel40_pose)
+
+
+# one valid construction of each options class whose numeric fields the
+# next test walks
+OPTION_CLASSES = {
+    CameraModel: {"focal": 1145.0},
+    SolveOptions: {},
+    TrackOptions: {},
+    TrialConfig: {"support_size": 1, "noise_std_px": 0.0},
+}
+NUMERIC_FIELDS = [
+    (cls, f.name) for cls in OPTION_CLASSES for f in dataclasses.fields(cls)
+    if re.search(r"\b(int|float)\b|ndarray", str(f.type))
+]
+
+
+@pytest.mark.parametrize("value", ["12", True], ids=["string", "bool"])
+@pytest.mark.parametrize("cls, name", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS])
+def test_numeric_option_fields_refuse_non_numbers(cls, name, value):
+    """Every number field of an options class, one added later included,
+    refuses a string and a bool with an InputError."""
+    with pytest.raises(InputError):
+        cls(**{**OPTION_CLASSES[cls], name: value})
+
+
+def test_numeric_field_walk_sees_every_class():
+    assert {cls for cls, _ in NUMERIC_FIELDS} == set(OPTION_CLASSES)
